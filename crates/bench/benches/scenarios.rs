@@ -1,7 +1,7 @@
 //! Scenario-engine benchmarks: timeline construction, one full
 //! multi-app scenario execution under TEEM, a three-app co-run under
 //! the shared contention policy (the N-app power-superposition path),
-//! the parallel batch matrix, and a thresholds × ambients grid sweep
+//! a collected scenario × approach matrix, and a thresholds × ambients grid sweep
 //! over the builtin suite — the thousands-of-scenario parameter-grid
 //! shape the zero-allocation hot path exists for.
 
@@ -9,9 +9,7 @@ use std::hint::black_box;
 use teem_bench::microbench::Runner;
 use teem_core::offline::build_profile_store;
 use teem_core::runner::Approach;
-use teem_scenario::{
-    BatchRunner, ContentionPolicy, Scenario, ScenarioRunner, SweepEvent, SweepSpec,
-};
+use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner, SweepEvent, SweepSpec};
 use teem_soc::Board;
 use teem_telemetry::SweepAggregator;
 use teem_workload::App;
@@ -47,15 +45,13 @@ fn main() {
         runner.run(black_box(&co)).expect("runs")
     });
 
-    let scenarios = vec![
+    let matrix = SweepSpec::over([
         Scenario::back_to_back("m1", &[App::Mvt, App::Syrk], 2.0, 0.9),
         Scenario::periodic("m2", App::Gesummv, 40.0, 2, 0.9),
-    ];
+    ])
+    .approaches(&Approach::all());
     r.bench_heavy("batch_matrix_2x4", 1, move || {
-        BatchRunner::new()
-            .run_matrix(black_box(&scenarios), &Approach::all())
-            .expect("runs")
-            .len()
+        black_box(&matrix).run_collect().expect("runs").len()
     });
 
     // The scenario-scale shape: a thresholds × ambients parameter grid

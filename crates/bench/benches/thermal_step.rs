@@ -6,8 +6,7 @@
 use std::hint::black_box;
 use teem_bench::microbench::Runner;
 use teem_soc::{
-    idle_node_powers_into, node_powers_for, node_powers_into, Board, ClusterFreqs, CpuMapping, MHz,
-    StepScratch,
+    idle_node_powers_into, node_powers_into, Board, ClusterFreqs, CpuMapping, MHz, StepScratch,
 };
 use teem_workload::App;
 
@@ -30,8 +29,7 @@ fn main() {
         board.thermal.steady_state(black_box(&powers))
     });
 
-    // The power model alone: allocating wrapper vs in-place — the
-    // delta the zero-allocation refactor buys per step.
+    // The power model alone, in place as the engines run it.
     let freqs = ClusterFreqs {
         big: MHz(1600),
         little: MHz(1400),
@@ -40,17 +38,6 @@ fn main() {
     let mapping = CpuMapping::new(2, 3);
     let activity = App::Covariance.characteristics().activity;
     let temps = vec![83.0, 61.0, 74.0, 46.0];
-    r.bench("node_powers_alloc", || {
-        node_powers_for(
-            black_box(&board),
-            mapping,
-            freqs,
-            true,
-            true,
-            activity,
-            black_box(&temps),
-        )
-    });
     let mut scratch = StepScratch::for_board(&board);
     r.bench("node_powers_into", || {
         node_powers_into(

@@ -20,14 +20,13 @@
 //! * **Runtime environment changes** — ambient temperature, default
 //!   threshold and management approach can change mid-scenario.
 //!
-//! Physics is shared with the single-run engine through
-//! [`teem_soc::co_run_node_powers_into`] /
-//! [`teem_soc::read_sensors_for`]; with a single active app the co-run
-//! power model delegates to the single-app one, so a serial-policy
-//! scenario step is bit-identical to the equivalent single-run step — a
-//! property pinned by the golden-digest tests — and the step loop reuses
-//! one [`teem_soc::StepScratch`] (plus pre-sized share/claim buffers) so
-//! the steady-state path allocates nothing.
+//! The board-level half of every step — sensing, zone-capped
+//! actuation, power, energy, the thermal step and the index-derived
+//! clock — runs in the same [`teem_soc::SocStepper`] a single run
+//! drives; this executor adds the timeline, the arbiter, per-app
+//! control and progress, and the trace. The step loop reuses the
+//! stepper's [`teem_soc::StepScratch`] (plus pre-sized share/claim
+//! buffers) so the steady-state path allocates nothing.
 //!
 //! The loop body is factored as [`CellSim`] state plus
 //! [`ScenarioRunner::prepare_cell`] / [`ScenarioRunner::step_cell`] /
@@ -48,15 +47,14 @@ use teem_core::{AppProfile, ProfileStore, TeemTunables, UserRequirement};
 use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::sensors::BIG_CORE_OFFSETS_C;
 use teem_soc::{
-    clamp_freqs, co_run_dynamic_weights, co_run_node_powers_into, collapsed_node_powers_into,
-    fast_forward_gap, idle_node_powers, idle_node_powers_into, node_powers_for, read_sensors_for,
-    Board, BoardSpec, ClusterFreqs, CoRunShare, CpuMapping, GapAdvance, GapPower, SensorBank,
-    SensorReadings, SimConfig, SocControl, SocView, StepObs, StepScratch, ThermalZone, TimeAdvance,
+    clamp_freqs, co_run_dynamic_weights, fast_forward_gap, Board, BoardSpec, ClusterFreqs,
+    CoRunShare, CpuMapping, GapAdvance, GapPower, JobState, SensorBank, SensorReadings, SimConfig,
+    SocStepper, StepObs, ThermalZone, TimeAdvance,
 };
 use teem_telemetry::{
     ChannelId, LogHistogram, RunSummary, SampleStage, ScenarioAppRun, ScenarioSummary, Trace,
 };
-use teem_workload::{bandwidth_slowdown, App, KernelCharacteristics, Partition};
+use teem_workload::{bandwidth_slowdown, App, Partition};
 
 /// Everything one scenario execution produced.
 #[derive(Debug, Clone)]
@@ -223,16 +221,15 @@ impl ScenarioRunner {
     }
 
     /// Pre-heats the board toward the first arrival's busy steady state
-    /// (engine protocol: scaled by `warm_start_fraction`, capped at the
-    /// thermally-managed 80 °C ceiling). A scenario with no arrivals
-    /// warm-starts at the idle equilibrium.
+    /// at its planned initial frequencies (the engine protocol, scaled
+    /// by `warm_start_fraction`). A scenario with no arrivals
+    /// warm-starts at the idle equilibrium at `idle_freqs`.
     fn warm_start(
         &mut self,
-        board: &mut Board,
+        soc: &mut SocStepper,
         scenario: &Scenario,
         idle_freqs: ClusterFreqs,
     ) -> Result<(), teem_linreg::LinregError> {
-        let temps70 = vec![70.0; board.thermal.len()];
         // Replay threshold/approach changes that precede the first
         // arrival, so the pre-heat plan matches the plan the arrival
         // event itself will derive.
@@ -254,51 +251,33 @@ impl ScenarioRunner {
                 ScenarioEvent::AmbientChange { .. } => {}
             }
         }
-        let powers = match first {
-            Some(req) => {
-                let profile = self.profile_for(req.app)?;
-                let treq_s = req.treq_factor * profile.et_gpu_s;
-                let thr = req.threshold_c.unwrap_or(threshold_c);
-                let ureq = UserRequirement::new(treq_s, thr);
-                // The plan is deterministic; the arrival event re-derives
-                // the identical one when it fires.
-                let plan = plan_launch(
-                    req.app,
-                    approach,
-                    &ureq,
-                    Some(&profile),
-                    None,
-                    None,
-                    &self.tunables,
-                );
-                let chars = req.app.characteristics();
-                let initial = clamp_freqs(board, plan.initial);
-                let cpu_share = plan.partition.cpu_fraction() > 0.0;
-                let frac = self.config.warm_start_fraction;
-                node_powers_for(
-                    board,
-                    plan.mapping,
-                    initial,
-                    cpu_share,
-                    true,
-                    chars.activity,
-                    &temps70,
-                )
-                .into_iter()
-                .map(|p| p * frac)
-                .collect::<Vec<f64>>()
-            }
-            None => idle_node_powers(board, idle_freqs, &temps70),
+        let Some(req) = first else {
+            soc.warm_start(&[], idle_freqs, 1.0);
+            return Ok(());
         };
-        board.thermal.warm_start(&powers);
-        const WARM_START_CEILING_C: f64 = 80.0;
-        for i in 0..board.thermal.len() {
-            let t = board.thermal.temp(i);
-            board.thermal.set_temp(
-                i,
-                t.min(WARM_START_CEILING_C).max(board.thermal.ambient_c()),
-            );
-        }
+        let profile = self.profile_for(req.app)?;
+        let treq_s = req.treq_factor * profile.et_gpu_s;
+        let thr = req.threshold_c.unwrap_or(threshold_c);
+        let ureq = UserRequirement::new(treq_s, thr);
+        // The plan is deterministic; the arrival event re-derives the
+        // identical one when it fires.
+        let plan = plan_launch(
+            req.app,
+            approach,
+            &ureq,
+            Some(&profile),
+            None,
+            None,
+            &self.tunables,
+        );
+        let share = CoRunShare {
+            mapping: plan.mapping,
+            cpu_busy: plan.partition.cpu_fraction() > 0.0,
+            gpu_busy: true,
+            activity: req.app.characteristics().activity,
+        };
+        let initial = clamp_freqs(&soc.board, plan.initial);
+        soc.warm_start(&[share], initial, self.config.warm_start_fraction);
         Ok(())
     }
 
@@ -339,7 +318,7 @@ impl ScenarioRunner {
         &mut self,
         scenario: &Scenario,
     ) -> Result<CellSim, teem_linreg::LinregError> {
-        let mut board = self
+        let board = self
             .board
             .build_with(scenario.initial_ambient_c(), SensorBank::tmu_like(42));
 
@@ -347,10 +326,12 @@ impl ScenarioRunner {
         // measurement protocol: the device was busy before the scenario
         // began, so it starts near the first workload's (thermally
         // managed) operating point rather than at a cold idle
-        // equilibrium the paper's runs never see. `warm_start_fraction`
-        // scales it; 0 gives a cold start at the idle steady state.
+        // equilibrium the paper's runs never see.
         let idle_freqs = ClusterFreqs::min_of(&board);
-        self.warm_start(&mut board, scenario, idle_freqs)?;
+        let mut soc = SocStepper::new(board, ThermalZone::stock_xu4(), &self.config, idle_freqs);
+        self.warm_start(&mut soc, scenario, idle_freqs)?;
+        soc.readings = soc.read_sensors(CpuMapping::new(0, 0), false, 1.0);
+        soc.scratch.obs.enabled = self.step_timing;
 
         let events = scenario.sorted_events();
         // The scenario ends at the last completion: environment events
@@ -361,17 +342,13 @@ impl ScenarioRunner {
             .rposition(|e| matches!(e.event, ScenarioEvent::Arrival(_)))
             .map_or(0, |i| i + 1);
         let capacity = self.arbiter.capacity();
-        // Reusable step buffers and pre-created trace channels: the step
-        // loop is the batch sweep's hot path and must not allocate on
-        // its steady-state path (the share/claim buffers are pre-sized
-        // to the arbiter's capacity).
-        let mut scratch = StepScratch::for_board(&board);
-        scratch.obs.enabled = self.step_timing;
-        let gap_energy_scratch = vec![0.0_f64; board.thermal.len()];
+        // Pre-created trace channels and share/claim buffers pre-sized
+        // to the arbiter's capacity: the step loop is the batch sweep's
+        // hot path and must not allocate on its steady-state path.
+        let gap_energy_scratch = vec![0.0_f64; soc.board.thermal.len()];
         // What the arbiter may hand out: this board's cluster sizes.
-        let cluster_cores = CpuMapping::new(board.little_power.cores, board.big_power.cores);
-        let effective = idle_freqs;
-        let readings = read_sensors_for(&mut board, CpuMapping::new(0, 0), effective, false, 1.0);
+        let cluster_cores =
+            CpuMapping::new(soc.board.little_power.cores, soc.board.big_power.cores);
         // Every channel the run can touch is pre-registered here —
         // including gap telemetry, which only gap-y runs record (empty
         // channels are digest-invisible, so gap-free digests hold) —
@@ -381,11 +358,12 @@ impl ScenarioRunner {
         // per-channel appends.
         let trace = Trace::with_channels(ALL_SCENARIO_TRACE_CHANNELS);
         let ids = TraceIds::resolve(&trace);
-        let stage = SampleStage::for_channels(&trace, SCENARIO_TRACE_CHANNELS);
+        let stage =
+            SampleStage::for_channels(&trace, &ALL_SCENARIO_TRACE_CHANNELS[..SAMPLED_CHANNELS]);
 
         Ok(CellSim {
             scenario_name: scenario.name().to_string(),
-            board,
+            soc,
             idle_freqs,
             events,
             arrivals_end,
@@ -393,22 +371,12 @@ impl ScenarioRunner {
             queue: VecDeque::new(),
             capacity,
             active: Vec::with_capacity(capacity),
-            zone: ThermalZone::stock_xu4(),
-            zone_was_tripped: false,
-            zone_trips: 0,
-            dt: self.config.dt_s,
-            sample_period_s: self.config.sample_period_s,
             timeout_s: self.config.timeout_s,
             idle_timeout_s: self.config.idle_policy.timeout_s(),
             event_driven: self.config.time_advance == TimeAdvance::EventDriven,
-            step_idx: 0,
-            t: 0.0,
-            next_sample: 0.0,
-            effective,
             idle_gap_start: 0.0,
             gap_hist: LogHistogram::new(),
             gap_energy_scratch,
-            scratch,
             shares: Vec::with_capacity(capacity),
             claims: Vec::with_capacity(capacity),
             weights: Vec::with_capacity(capacity),
@@ -420,14 +388,11 @@ impl ScenarioRunner {
             busy_s: 0.0,
             overlap_s: 0.0,
             idle_s: 0.0,
-            energy_j: 0.0,
             idle_energy_j: 0.0,
-            last_total_w: 0.0,
             completed: Vec::new(),
             threshold_c: DEFAULT_THRESHOLD_C,
             approach: self.approach,
             timed_out: false,
-            readings,
         })
     }
 
@@ -446,7 +411,7 @@ impl ScenarioRunner {
         sim: &mut CellSim,
     ) -> Result<bool, teem_linreg::LinregError> {
         // --- Timeline events due at this instant ---
-        while sim.next_ev < sim.events.len() && sim.events[sim.next_ev].at_s <= sim.t + 1e-9 {
+        while sim.next_ev < sim.events.len() && sim.events[sim.next_ev].at_s <= sim.soc.t + 1e-9 {
             let ev = sim.events[sim.next_ev];
             match ev.event {
                 ScenarioEvent::Arrival(req) => {
@@ -474,7 +439,7 @@ impl ScenarioRunner {
                     });
                 }
                 ScenarioEvent::AmbientChange { ambient_c } => {
-                    sim.board.thermal.set_ambient_c(ambient_c);
+                    sim.soc.board.thermal.set_ambient_c(ambient_c);
                 }
                 ScenarioEvent::ThresholdChange { threshold_c: thr } => {
                     sim.threshold_c = thr;
@@ -493,8 +458,8 @@ impl ScenarioRunner {
             };
             sim.claims.clear();
             sim.claims.extend(sim.active.iter().map(|j| ResourceClaim {
-                mapping: j.mapping,
-                cpu_fraction: j.partition.cpu_fraction(),
+                mapping: j.job.mapping,
+                cpu_fraction: j.job.partition.cpu_fraction(),
             }));
             let admission = self.arbiter.admit(
                 &sim.claims,
@@ -502,22 +467,14 @@ impl ScenarioRunner {
                 front.plan.partition,
                 sim.cluster_cores,
             );
-            match admission {
+            // The arbiter either keeps the queued plan on the granted
+            // cores or re-plans the app onto an arbitrated slice.
+            let (q, plan, mapping) = match admission {
                 Admission::Defer => break,
                 Admission::Launch { mapping } => {
                     let q = sim.queue.pop_front().expect("front exists");
-                    let manager = manager_for(q.approach, &q.ureq, &q.plan, &self.tunables);
-                    let initial = clamp_freqs(&sim.board, q.plan.initial);
-                    let partition = q.plan.partition;
-                    sim.active.push(ActiveJob::launch(
-                        q,
-                        mapping,
-                        partition,
-                        initial,
-                        manager,
-                        sim.t,
-                        &sim.readings,
-                    ));
+                    let plan = q.plan;
+                    (q, plan, mapping)
                 }
                 Admission::Replan { mapping, partition } => {
                     let q = sim.queue.pop_front().expect("front exists");
@@ -530,32 +487,33 @@ impl ScenarioRunner {
                         Some(partition),
                         &self.tunables,
                     );
-                    let manager = manager_for(q.approach, &q.ureq, &plan, &self.tunables);
-                    let initial = clamp_freqs(&sim.board, plan.initial);
-                    sim.active.push(ActiveJob::launch(
-                        q,
-                        plan.mapping,
-                        plan.partition,
-                        initial,
-                        manager,
-                        sim.t,
-                        &sim.readings,
-                    ));
+                    (q, plan, plan.mapping)
                 }
-            }
+            };
+            let manager = manager_for(q.approach, &q.ureq, &plan, &self.tunables);
+            let initial = clamp_freqs(&sim.soc.board, plan.initial);
+            sim.active.push(ActiveJob::launch(
+                q,
+                mapping,
+                plan.partition,
+                initial,
+                manager,
+                sim.soc.t,
+                &sim.soc.readings,
+            ));
         }
 
         // --- Termination: every arrival admitted and completed ---
         if sim.active.is_empty() && sim.queue.is_empty() && sim.next_ev >= sim.arrivals_end {
             return Ok(false);
         }
-        if sim.t >= sim.timeout_s {
+        if sim.soc.t >= sim.timeout_s {
             sim.timed_out = true;
             return Ok(false);
         }
 
         // --- Sensing (trace cadence) ---
-        if sim.t + 1e-12 >= sim.next_sample {
+        if sim.soc.sample_due() {
             sim.phase_sample();
         }
 
@@ -571,27 +529,22 @@ impl ScenarioRunner {
             && sim.queue.is_empty()
             && sim.next_ev < sim.events.len()
         {
-            let event_tick = first_tick_at_or_after(sim.dt, sim.events[sim.next_ev].at_s, 1e-9);
-            let timeout_tick = first_tick_at_or_after(sim.dt, sim.timeout_s, 0.0);
+            let dt = sim.soc.dt;
+            let event_tick = first_tick_at_or_after(dt, sim.events[sim.next_ev].at_s, 1e-9);
+            let timeout_tick = first_tick_at_or_after(dt, sim.timeout_s, 0.0);
             let end_tick = event_tick.min(timeout_tick);
-            if end_tick > sim.step_idx {
-                // The fixed-dt loop races idle gaps to the idle
-                // floor every tick; pin that before fast-forwarding
-                // so the gap power and the post-gap samples see it.
-                sim.effective = sim.idle_freqs;
-                // Zone bookkeeping for the gap-start tick (a hot
-                // board can trip the zone the instant it idles);
-                // inside the gap temperatures only decay, so no
-                // further trip is possible and the step-wise
-                // release is caught up after the jump.
-                if let Some(cap) = sim.zone.update(sim.t, gap_max_temp_estimate(&sim.board)) {
-                    if sim.effective.big > cap {
-                        sim.effective.big = sim.board.big_opps.at_or_below(cap).freq;
-                    }
-                }
-                if sim.zone.is_tripped() && !sim.zone_was_tripped {
-                    sim.zone_trips += 1;
-                }
+            let start_tick = sim.soc.step_idx;
+            if end_tick > start_tick {
+                // The fixed-dt loop races idle gaps to the idle floor
+                // every tick; pin that before fast-forwarding so the
+                // gap power and the post-gap samples see it. The zone
+                // is polled for the gap-start tick (a hot board can
+                // trip the zone the instant it idles); inside the gap
+                // temperatures only decay, so no further trip is
+                // possible and the step-wise release is caught up
+                // after the jump.
+                let estimate = gap_max_temp_estimate(&sim.soc.board);
+                sim.soc.actuate_at(sim.idle_freqs, estimate);
 
                 // `IdlePolicy::TimeoutCollapse` as an event, not a
                 // per-step check: the collapse instant splits the
@@ -599,84 +552,68 @@ impl ScenarioRunner {
                 // span, each advanced in closed form.
                 let collapse_tick = sim
                     .idle_timeout_s
-                    .map(|to| first_tick_at_or_after(sim.dt, sim.idle_gap_start + to, 0.0));
+                    .map(|to| first_tick_at_or_after(dt, sim.idle_gap_start + to, 0.0));
                 let idle_end_tick =
-                    collapse_tick.map_or(end_tick, |c| c.clamp(sim.step_idx, end_tick));
+                    collapse_tick.map_or(end_tick, |c| c.clamp(start_tick, end_tick));
                 let mut gap = GapAdvance::default();
-                let ambient = sim.board.thermal.ambient_c();
-                if idle_end_tick > sim.step_idx {
-                    let span = (idle_end_tick - sim.step_idx) as f64 * sim.dt;
-                    let adv = fast_forward_gap(
-                        &mut sim.board,
-                        GapPower::Idle(sim.effective),
-                        span,
-                        ambient,
-                        &mut sim.scratch,
-                        &mut sim.gap_energy_scratch,
-                    );
-                    gap.energy_j += adv.energy_j;
-                    gap.segments += adv.segments;
+                let ambient = sim.soc.board.thermal.ambient_c();
+                for (from, to, power) in [
+                    (start_tick, idle_end_tick, GapPower::Idle(sim.soc.effective)),
+                    (idle_end_tick, end_tick, GapPower::Collapsed),
+                ] {
+                    if to > from {
+                        let adv = fast_forward_gap(
+                            &mut sim.soc.board,
+                            power,
+                            (to - from) as f64 * dt,
+                            ambient,
+                            &mut sim.soc.scratch,
+                            &mut sim.gap_energy_scratch,
+                        );
+                        gap.energy_j += adv.energy_j;
+                        gap.segments += adv.segments;
+                    }
                 }
-                if end_tick > idle_end_tick {
-                    let span = (end_tick - idle_end_tick) as f64 * sim.dt;
-                    let adv = fast_forward_gap(
-                        &mut sim.board,
-                        GapPower::Collapsed,
-                        span,
-                        ambient,
-                        &mut sim.scratch,
-                        &mut sim.gap_energy_scratch,
-                    );
-                    gap.energy_j += adv.energy_j;
-                    gap.segments += adv.segments;
-                }
-                let span_s = (end_tick - sim.step_idx) as f64 * sim.dt;
-                sim.energy_j += gap.energy_j;
+                let span_s = (end_tick - start_tick) as f64 * dt;
+                sim.soc.energy_j += gap.energy_j;
                 sim.idle_energy_j += gap.energy_j;
                 sim.idle_s += span_s;
                 // The last segment's frozen power is what a sample
                 // at the gap's end reports as the instantaneous draw.
-                sim.last_total_w = sim.scratch.power.iter().sum();
-                sim.scratch.obs.gaps_skipped += 1;
-                sim.scratch.obs.gap_fastforward_s += span_s;
+                sim.soc.last_total_w = sim.soc.scratch.power.iter().sum();
+                sim.soc.scratch.obs.gaps_skipped += 1;
+                sim.soc.scratch.obs.gap_fastforward_s += span_s;
                 sim.gap_hist.record((span_s * 1e3).round() as u64);
 
-                // Jump the clock to the horizon tick.
-                sim.step_idx = end_tick;
-                sim.t = sim.step_idx as f64 * sim.dt;
-                // The gap is one trace span, not one point per
-                // sample period: record it on its own pre-registered
-                // channel (empty channels are digest-invisible, so
-                // gap-free runs keep their digests) and realign the
-                // sample grid past the horizon, skipping the sensor
-                // reads the fixed-dt path would have taken at the
-                // boundaries in between so the noise stream stays
-                // aligned.
-                sim.trace.record_id(sim.ids.gap_fastforward, sim.t, span_s);
-                if sim.next_sample < sim.t - 1e-12 {
-                    let n = ((sim.t - 1e-12 - sim.next_sample) / sim.sample_period_s).floor()
-                        as u64
-                        + 1;
-                    sim.board.sensors.skip_reads(n);
-                    sim.next_sample += n as f64 * sim.sample_period_s;
-                }
+                // Jump the clock to the horizon tick. The gap is one
+                // trace span, not one point per sample period: record
+                // it on its own pre-registered channel (empty channels
+                // are digest-invisible, so gap-free runs keep their
+                // digests) and realign the sample grid past the
+                // horizon, skipping the sensor reads the fixed-dt path
+                // would have taken at the boundaries in between so the
+                // noise stream stays aligned.
+                sim.soc.jump_to(end_tick);
+                sim.trace
+                    .record_id(sim.ids.gap_fastforward, sim.soc.t, span_s);
+                sim.soc.skip_missed_samples();
                 // Step-wise zone release across the gap, replayed at
                 // the zone's own poll cadence with the cooled
                 // temperatures — O(release ladder), not O(gap).
                 catch_up_zone(
-                    &mut sim.zone,
-                    sim.t - span_s,
-                    sim.t,
-                    gap_max_temp_estimate(&sim.board),
+                    &mut sim.soc.zone,
+                    sim.soc.t - span_s,
+                    sim.soc.t,
+                    gap_max_temp_estimate(&sim.soc.board),
                 );
-                sim.zone_was_tripped = sim.zone.is_tripped();
+                sim.soc.zone_was_tripped = sim.soc.zone.is_tripped();
                 return Ok(true);
             }
         }
 
         // --- Manager control (per app; idle gaps are governed by
         //     the race-to-idle minimum or the collapse policy) ---
-        let obs_t0 = sim.scratch.obs.clock();
+        let obs_t0 = sim.soc.scratch.obs.clock();
         sim.phase_control();
 
         // --- Board-wide actuation: one frequency per cluster,
@@ -684,111 +621,83 @@ impl ScenarioRunner {
         //     the reactive thermal zone (kernel layer) always armed
         //     on top ---
         sim.phase_actuate();
-        sim.scratch.obs.lap_control(obs_t0);
+        sim.soc.scratch.obs.lap_control(obs_t0);
 
         // --- Workload progress (slowed by shared-bandwidth
         //     contention; the GPU is time-shared) ---
-        let total_pressure: f64 = sim.active.iter().map(|j| j.chars.mem_sensitivity).sum();
-        let gpu_sharers = sim.active.iter().filter(|j| !j.gpu_done()).count().max(1) as f64;
+        let dt = sim.soc.dt;
+        let effective = sim.soc.effective;
+        let total_pressure: f64 = sim.active.iter().map(|j| j.job.chars.mem_sensitivity).sum();
+        let gpu_sharers = sim
+            .active
+            .iter()
+            .filter(|j| !j.job.gpu_done())
+            .count()
+            .max(1) as f64;
         let co_running = sim.active.len() >= 2;
         for j in sim.active.iter_mut() {
+            let job = &mut j.job;
             let s = bandwidth_slowdown(
-                j.chars.mem_sensitivity,
-                total_pressure - j.chars.mem_sensitivity,
+                job.chars.mem_sensitivity,
+                total_pressure - job.chars.mem_sensitivity,
             );
-            if !j.cpu_done() && !j.mapping.is_empty() {
-                j.cpu_done_items +=
-                    cpu_rate(&j.chars, j.mapping, sim.effective.big, sim.effective.little) * sim.dt
-                        / s;
+            if !job.cpu_done() && !job.mapping.is_empty() {
+                job.cpu_done_items +=
+                    cpu_rate(&job.chars, job.mapping, effective.big, effective.little) * dt / s;
             }
-            if !j.gpu_done() {
-                j.gpu_done_items +=
-                    gpu_rate(&j.chars, sim.effective.gpu) * sim.dt / (s * gpu_sharers);
+            if !job.gpu_done() {
+                job.gpu_done_items += gpu_rate(&job.chars, effective.gpu) * dt / (s * gpu_sharers);
             }
             if co_running {
-                j.co_run_s += sim.dt;
-                j.contention_delay_s += sim.dt * (1.0 - 1.0 / s);
+                j.co_run_s += dt;
+                j.contention_delay_s += dt * (1.0 - 1.0 / s);
             }
         }
 
-        // --- Power & thermal (shared model, in place: temps
-        //     borrowed, power into the reusable scratch; N active
-        //     apps superposed per domain) ---
-        let obs_t0 = sim.scratch.obs.clock();
+        // --- Power, energy, thermal and clock (shared stepper; N
+        //     active apps superposed per domain, an idle board past
+        //     its collapse timeout power-collapsed) ---
         sim.shares.clear();
         sim.shares.extend(sim.active.iter().map(|j| CoRunShare {
-            mapping: j.mapping,
-            cpu_busy: !j.cpu_done(),
-            gpu_busy: !j.gpu_done(),
-            activity: j.chars.activity,
+            mapping: j.job.mapping,
+            cpu_busy: !j.job.cpu_done(),
+            gpu_busy: !j.job.gpu_done(),
+            activity: j.job.chars.activity,
         }));
-        if sim.shares.is_empty()
+        let collapsed = sim.shares.is_empty()
             && sim
                 .idle_timeout_s
-                .is_some_and(|timeout| sim.t - sim.idle_gap_start >= timeout)
-        {
-            // Idle long enough: the clusters power-collapse.
-            collapsed_node_powers_into(
-                &sim.board,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        } else if sim.shares.is_empty() {
-            idle_node_powers_into(
-                &sim.board,
-                sim.effective,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        } else {
-            co_run_node_powers_into(
-                &sim.board,
-                &sim.shares,
-                sim.effective,
-                sim.board.thermal.temps(),
-                &mut sim.scratch.power,
-            );
-        }
-        sim.scratch.obs.lap_power(obs_t0);
-        let total: f64 = sim.scratch.power.iter().sum();
-        sim.energy_j += total * sim.dt;
+                .is_some_and(|timeout| sim.soc.t - sim.idle_gap_start >= timeout);
+        let total = sim.soc.advance(&sim.shares, collapsed);
+        let step_j = total * dt;
         if sim.active.is_empty() {
-            sim.idle_energy_j += total * sim.dt;
-            sim.idle_s += sim.dt;
+            sim.idle_energy_j += step_j;
+            sim.idle_s += dt;
         } else if co_running {
-            sim.busy_s += sim.dt;
-            sim.overlap_s += sim.dt;
+            sim.busy_s += dt;
+            sim.overlap_s += dt;
             // Attribute this step's energy by each app's dynamic-power
             // weight — the draw it causes — rather than an equal split
             // that would overcharge a stalled memory-bound app for its
             // compute-heavy co-runner. Shared overheads (leakage,
             // uncore, board) follow the weights proportionally.
-            co_run_dynamic_weights(&sim.board, &sim.shares, sim.effective, &mut sim.weights);
+            co_run_dynamic_weights(&sim.soc.board, &sim.shares, effective, &mut sim.weights);
             let wsum: f64 = sim.weights.iter().sum();
             if wsum > 0.0 {
-                let step_j = total * sim.dt;
                 for (j, w) in sim.active.iter_mut().zip(sim.weights.iter()) {
                     j.energy_j += step_j * w / wsum;
                 }
             } else {
                 // Every share idle on every device: nothing to key on.
-                let share_j = total * sim.dt / sim.active.len() as f64;
+                let share_j = step_j / sim.active.len() as f64;
                 for j in sim.active.iter_mut() {
                     j.energy_j += share_j;
                 }
             }
         } else {
-            sim.busy_s += sim.dt;
-            sim.active[0].energy_j += total * sim.dt;
+            sim.busy_s += dt;
+            sim.active[0].energy_j += step_j;
         }
-        sim.last_total_w = total;
-        let obs_t0 = sim.scratch.obs.clock();
-        let substeps = sim.board.thermal.step(sim.dt, &sim.scratch.power);
-        sim.scratch.obs.lap_thermal(obs_t0);
-        sim.scratch.obs.steps += 1;
-        sim.scratch.obs.substeps += u64::from(substeps);
-        sim.step_idx += 1;
-        sim.t = sim.step_idx as f64 * sim.dt;
 
         // --- Completions: free the resources, in completion order ---
         sim.phase_completions();
@@ -804,17 +713,11 @@ impl ScenarioRunner {
         // same channels (per-channel time order must hold), then take
         // the final sample that closes the trace.
         sim.flush_samples();
-        let final_readings = read_sensors_for(
-            &mut sim.board,
-            CpuMapping::new(0, 0),
-            sim.effective,
-            false,
-            1.0,
-        );
+        let closing = sim.soc.read_sensors(CpuMapping::new(0, 0), false, 1.0);
+        let t = sim.soc.t;
+        sim.trace.record_id(sim.ids.temp_max, t, closing.max_c());
         sim.trace
-            .record_id(sim.ids.temp_max, sim.t, final_readings.max_c());
-        sim.trace
-            .record_id(sim.ids.freq_big, sim.t, sim.effective.big.0 as f64);
+            .record_id(sim.ids.freq_big, t, sim.soc.effective.big.0 as f64);
         debug_assert_eq!(
             sim.trace.late_channel_creates(),
             0,
@@ -829,23 +732,23 @@ impl ScenarioRunner {
         let summary = ScenarioSummary {
             scenario: sim.scenario_name,
             approach: self.approach.name().to_string(),
-            makespan_s: sim.t,
+            makespan_s: t,
             busy_s: sim.busy_s,
             overlap_s: sim.overlap_s,
             idle_s: sim.idle_s,
-            energy_j: sim.energy_j,
+            energy_j: sim.soc.energy_j,
             idle_energy_j: sim.idle_energy_j,
             peak_temp_c: temp_stats.max(),
             avg_temp_c: temp_stats.mean(),
             temp_variance: temp_stats.variance(),
-            zone_trips: sim.zone_trips,
+            zone_trips: sim.soc.zone_trips,
             apps: sim.completed,
         };
         ScenarioResult {
             summary,
             trace: sim.trace,
             timed_out: sim.timed_out,
-            kernel: sim.scratch.obs,
+            kernel: sim.soc.scratch.obs,
             gap_len_ms: sim.gap_hist,
         }
     }
@@ -893,10 +796,9 @@ impl TraceIds {
     }
 }
 
-/// One scenario execution suspended at a step boundary: the board, the
-/// timeline cursor, the active/queued jobs, the accumulators and the
-/// reusable step buffers that used to live as locals of
-/// [`ScenarioRunner::run`]'s loop.
+/// One scenario execution suspended at a step boundary: the board-level
+/// [`SocStepper`] plus the timeline cursor, the active/queued jobs, the
+/// accumulators and the reusable share/claim buffers.
 ///
 /// Driven by [`ScenarioRunner::step_cell`] one full iteration at a time
 /// (the scalar path), or phase-by-phase through the `phase_*` methods
@@ -906,7 +808,10 @@ impl TraceIds {
 /// approximate.
 pub(crate) struct CellSim {
     pub(crate) scenario_name: String,
-    pub(crate) board: Board,
+    /// The board, zone, clock, sample schedule, effective frequencies,
+    /// readings, step buffers and energy — the same stepper a single
+    /// run drives.
+    pub(crate) soc: SocStepper,
     pub(crate) idle_freqs: ClusterFreqs,
     pub(crate) events: Vec<TimedEvent>,
     pub(crate) arrivals_end: usize,
@@ -914,29 +819,14 @@ pub(crate) struct CellSim {
     pub(crate) queue: VecDeque<QueuedJob>,
     pub(crate) capacity: usize,
     pub(crate) active: Vec<ActiveJob>,
-    pub(crate) zone: ThermalZone,
-    pub(crate) zone_was_tripped: bool,
-    pub(crate) zone_trips: u32,
     /// Copied out of [`SimConfig`] at prepare time so phase methods and
     /// the lockstep pool never need the runner.
-    pub(crate) dt: f64,
-    pub(crate) sample_period_s: f64,
     pub(crate) timeout_s: f64,
     pub(crate) idle_timeout_s: Option<f64>,
     pub(crate) event_driven: bool,
-    /// The clock is derived from the step index (`t = step_idx · dt`),
-    /// never accumulated (`t += dt`), so week-long timelines cannot
-    /// smear event boundaries or `TimeoutCollapse` firing instants
-    /// with float-accumulation drift. Gap fast-forwards jump the
-    /// index, keeping both modes on the same tick grid.
-    pub(crate) step_idx: u64,
-    pub(crate) t: f64,
-    pub(crate) next_sample: f64,
-    pub(crate) effective: ClusterFreqs,
     pub(crate) idle_gap_start: f64,
     pub(crate) gap_hist: LogHistogram,
     pub(crate) gap_energy_scratch: Vec<f64>,
-    pub(crate) scratch: StepScratch,
     pub(crate) shares: Vec<CoRunShare>,
     pub(crate) claims: Vec<ResourceClaim>,
     pub(crate) weights: Vec<f64>,
@@ -954,96 +844,81 @@ pub(crate) struct CellSim {
     pub(crate) busy_s: f64,
     pub(crate) overlap_s: f64,
     pub(crate) idle_s: f64,
-    pub(crate) energy_j: f64,
     pub(crate) idle_energy_j: f64,
-    pub(crate) last_total_w: f64,
     pub(crate) completed: Vec<ScenarioAppRun>,
     pub(crate) threshold_c: f64,
     pub(crate) approach: Approach,
     pub(crate) timed_out: bool,
-    pub(crate) readings: SensorReadings,
 }
 
 impl CellSim {
-    /// The sensing phase: reads the sensor bank, then records the row
-    /// and advances the sample grid through [`CellSim::record_sample`].
+    /// The sensing phase: takes the stepper's due sample for the active
+    /// set, then records the row through [`CellSim::record_sample`].
     pub(crate) fn phase_sample(&mut self) {
-        let obs_t0 = self.scratch.obs.clock();
-        self.readings = if self.active.is_empty() {
-            read_sensors_for(
-                &mut self.board,
-                CpuMapping::new(0, 0),
-                self.effective,
-                false,
-                1.0,
-            )
+        if self.active.is_empty() {
+            self.soc.sample(CpuMapping::new(0, 0), false, 1.0);
         } else {
-            read_sensors_for(
-                &mut self.board,
+            self.soc.sample(
                 combined_mapping(&self.active, self.cluster_cores),
-                self.effective,
-                self.active.iter().any(|j| !j.cpu_done()),
+                self.active.iter().any(|j| !j.job.cpu_done()),
                 self.active
                     .iter()
-                    .map(|j| j.chars.activity)
+                    .map(|j| j.job.chars.activity)
                     .fold(f64::MIN, f64::max),
-            )
-        };
-        self.scratch.obs.lap_sample(obs_t0);
+            );
+        }
         self.record_sample();
     }
 
-    /// Records one sample row for the current `readings`/`t`, feeds the
-    /// per-job statistics and advances the sample grid — the back half
-    /// of [`CellSim::phase_sample`], shared by the lockstep hot-sample
-    /// path (which supplies lane-resident readings and skips the board
+    /// Records one sample row for the stepper's current readings and
+    /// time and feeds the per-job statistics — the back half of
+    /// [`CellSim::phase_sample`], shared by the lockstep hot-sample path
+    /// (which supplies lane-resident readings and skips the board
     /// round-trip). Staged: one contiguous row push; unstaged: nine
     /// per-channel appends through pre-resolved ids. The recorded
     /// `(channel, t, v)` stream is identical either way.
     pub(crate) fn record_sample(&mut self) {
-        let t = self.t;
+        let soc = &self.soc;
+        let t = soc.t;
         let depth = (self.queue.len() + self.active.len()) as f64;
-        let obs_t0 = self.scratch.obs.clock();
+        let obs_t0 = soc.scratch.obs.clock();
+        let row: [f64; SAMPLED_CHANNELS] = [
+            soc.readings.max_c(),
+            soc.readings.big_max_c(),
+            soc.readings.gpu_c,
+            soc.effective.big.0 as f64,
+            soc.effective.little.0 as f64,
+            soc.effective.gpu.0 as f64,
+            soc.last_total_w,
+            soc.board.thermal.ambient_c(),
+            depth,
+        ];
         if self.staging {
-            self.stage.push(
-                t,
-                &[
-                    self.readings.max_c(),
-                    self.readings.big_max_c(),
-                    self.readings.gpu_c,
-                    self.effective.big.0 as f64,
-                    self.effective.little.0 as f64,
-                    self.effective.gpu.0 as f64,
-                    self.last_total_w,
-                    self.board.thermal.ambient_c(),
-                    depth,
-                ],
-            );
+            self.stage.push(t, &row);
             if self.stage.is_full() {
                 self.trace.flush_stage(&mut self.stage);
             }
         } else {
             let ids = &self.ids;
-            self.trace.record_id(ids.temp_max, t, self.readings.max_c());
-            self.trace
-                .record_id(ids.temp_big, t, self.readings.big_max_c());
-            self.trace.record_id(ids.temp_gpu, t, self.readings.gpu_c);
-            self.trace
-                .record_id(ids.freq_big, t, self.effective.big.0 as f64);
-            self.trace
-                .record_id(ids.freq_little, t, self.effective.little.0 as f64);
-            self.trace
-                .record_id(ids.freq_gpu, t, self.effective.gpu.0 as f64);
-            self.trace.record_id(ids.power_total, t, self.last_total_w);
-            self.trace
-                .record_id(ids.ambient, t, self.board.thermal.ambient_c());
-            self.trace.record_id(ids.queue_depth, t, depth);
+            let channels = [
+                ids.temp_max,
+                ids.temp_big,
+                ids.temp_gpu,
+                ids.freq_big,
+                ids.freq_little,
+                ids.freq_gpu,
+                ids.power_total,
+                ids.ambient,
+                ids.queue_depth,
+            ];
+            for (id, v) in channels.into_iter().zip(row) {
+                self.trace.record_id(id, t, v);
+            }
         }
-        self.scratch.obs.lap_trace(obs_t0);
+        self.soc.scratch.obs.lap_trace(obs_t0);
         for j in self.active.iter_mut() {
-            j.observe(&self.readings, self.effective);
+            j.observe(&self.soc.readings, self.soc.effective);
         }
-        self.next_sample += self.sample_period_s;
     }
 
     /// Drains the staged sample rows into the trace (no-op when empty
@@ -1055,40 +930,11 @@ impl CellSim {
         }
     }
 
-    /// The per-app manager control phase: builds each due job's
-    /// [`SocView`], runs its manager and quantises the requests onto the
-    /// board's OPP tables.
+    /// The per-app manager control phase: each due job's manager sees
+    /// the board through the stepper.
     pub(crate) fn phase_control(&mut self) {
         for j in self.active.iter_mut() {
-            if self.t + 1e-12 >= j.next_control {
-                let view = SocView {
-                    time_s: self.t,
-                    readings: self.readings,
-                    freqs: self.effective,
-                    cpu_progress: progress(j.cpu_done_items, j.cpu_items),
-                    gpu_progress: progress(j.gpu_done_items, j.gpu_items),
-                    big_util: if j.cpu_done() || j.mapping.big == 0 {
-                        0.05
-                    } else {
-                        1.0
-                    },
-                    power_w: self.last_total_w,
-                    mapping: j.mapping,
-                    partition: j.partition,
-                };
-                let mut ctl = SocControl::default();
-                j.manager.control(&view, &mut ctl);
-                if let Some(f) = ctl.big_request() {
-                    j.desired.big = self.board.big_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.little_request() {
-                    j.desired.little = self.board.little_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.gpu_request() {
-                    j.desired.gpu = self.board.gpu_opps.at_or_below(f).freq;
-                }
-                j.next_control += j.manager.period_s();
-            }
+            self.soc.control(&mut j.job, &mut *j.manager);
         }
     }
 
@@ -1096,56 +942,38 @@ impl CellSim {
     /// cluster across the active apps' requests, with the reactive
     /// thermal zone (kernel layer) armed on top.
     pub(crate) fn phase_actuate(&mut self) {
-        self.effective = arbitrate_freqs(&self.active, self.idle_freqs);
-        if let Some(cap) = self.zone.update(self.t, self.readings.max_c()) {
-            if self.effective.big > cap {
-                self.effective.big = self.board.big_opps.at_or_below(cap).freq;
-            }
-        }
-        if self.zone.is_tripped() && !self.zone_was_tripped {
-            self.zone_trips += 1;
-        }
-        self.zone_was_tripped = self.zone.is_tripped();
+        self.soc
+            .actuate(arbitrate_freqs(&self.active, self.idle_freqs));
     }
 
     /// The completion phase: retires done jobs in completion order and
     /// marks the start of an idle gap when the board empties.
     pub(crate) fn phase_completions(&mut self) {
-        if self.active.iter().any(ActiveJob::done) {
+        if self.active.iter().any(|j| j.job.done()) {
             let mut i = 0;
             while i < self.active.len() {
-                if self.active[i].done() {
+                if self.active[i].job.done() {
                     let job = self.active.remove(i);
-                    self.completed.push(job.finish(self.t));
+                    self.completed.push(job.finish(self.soc.t));
                 } else {
                     i += 1;
                 }
             }
             if self.active.is_empty() {
-                self.idle_gap_start = self.t;
+                self.idle_gap_start = self.soc.t;
             }
         }
     }
 }
 
-/// The trace channels a scenario run records — the single-run set plus
-/// `ambient` and `queue.depth` — pre-created so the sampling path never
-/// inserts (and so never allocates a key) mid-run.
-const SCENARIO_TRACE_CHANNELS: &[&str] = &[
-    "temp.max",
-    "temp.big",
-    "temp.gpu",
-    "freq.big",
-    "freq.little",
-    "freq.gpu",
-    "power.total",
-    "ambient",
-    "queue.depth",
-];
+/// How many leading [`ALL_SCENARIO_TRACE_CHANNELS`] entries each
+/// sample records.
+const SAMPLED_CHANNELS: usize = 9;
 
-/// Every channel a scenario run can touch: the nine sampled channels
-/// plus the gap-telemetry channel the event-driven executor records one
-/// span per fast-forwarded gap on. Pre-registering the full set means
+/// Every channel a scenario run can touch: the nine sampled channels —
+/// the single-run set plus `ambient` and `queue.depth`, the first
+/// [`SAMPLED_CHANNELS`] entries — then the gap-telemetry channel the
+/// event-driven executor records one span per fast-forwarded gap on. Pre-registering the full set means
 /// no [`Trace::record`] call can ever hit the allocating late-creation
 /// fallback mid-run (asserted at finish); empty channels are
 /// digest-invisible, so gap-free runs keep their pinned digests.
@@ -1169,12 +997,12 @@ pub(crate) fn combined_mapping(active: &[ActiveJob], cluster_cores: CpuMapping) 
     CpuMapping::new(
         active
             .iter()
-            .map(|j| j.mapping.little)
+            .map(|j| j.job.mapping.little)
             .sum::<u32>()
             .min(cluster_cores.little),
         active
             .iter()
-            .map(|j| j.mapping.big)
+            .map(|j| j.job.mapping.big)
             .sum::<u32>()
             .min(cluster_cores.big),
     )
@@ -1189,23 +1017,25 @@ fn arbitrate_freqs(active: &[ActiveJob], idle: ClusterFreqs) -> ClusterFreqs {
     if active.is_empty() {
         return idle;
     }
-    let max_or = |picked: Option<teem_soc::MHz>, all: fn(&ActiveJob) -> teem_soc::MHz| match picked
-    {
+    let max_or = |picked: Option<teem_soc::MHz>, all: fn(&JobState) -> teem_soc::MHz| match picked {
         Some(f) => f,
-        None => active.iter().map(all).max().expect("non-empty"),
+        None => active.iter().map(|j| all(&j.job)).max().expect("non-empty"),
     };
     let big = active
         .iter()
+        .map(|j| &j.job)
         .filter(|j| j.mapping.big > 0 && !j.cpu_done())
         .map(|j| j.desired.big)
         .max();
     let little = active
         .iter()
+        .map(|j| &j.job)
         .filter(|j| j.mapping.little > 0 && !j.cpu_done())
         .map(|j| j.desired.little)
         .max();
     let gpu = active
         .iter()
+        .map(|j| &j.job)
         .filter(|j| j.gpu_items > 0.0 && !j.gpu_done())
         .map(|j| j.desired.gpu)
         .max();
@@ -1287,24 +1117,18 @@ pub(crate) struct QueuedJob {
 /// An application currently executing (a member of the active set).
 pub(crate) struct ActiveJob {
     pub(crate) app: App,
-    pub(crate) chars: KernelCharacteristics,
-    pub(crate) mapping: CpuMapping,
-    pub(crate) partition: Partition,
+    /// Work, progress, frequency requests and control deadline — the
+    /// per-app state the stepper's control phase reads and writes. The
+    /// executor arbitrates one board-wide setting from the active set's
+    /// `desired` requests each step.
+    pub(crate) job: JobState,
     pub(crate) manager: Box<dyn teem_soc::Manager + Send>,
-    /// This app's latest frequency requests; the executor arbitrates one
-    /// board-wide setting from the active set's requests each step.
-    pub(crate) desired: ClusterFreqs,
-    pub(crate) cpu_items: f64,
-    pub(crate) gpu_items: f64,
-    pub(crate) cpu_done_items: f64,
-    pub(crate) gpu_done_items: f64,
     pub(crate) arrived_s: f64,
     pub(crate) started_s: f64,
     pub(crate) treq_s: f64,
     pub(crate) energy_j: f64,
     pub(crate) co_run_s: f64,
     pub(crate) contention_delay_s: f64,
-    pub(crate) next_control: f64,
     pub(crate) temp: Welford,
     pub(crate) freq: Welford,
 }
@@ -1319,27 +1143,16 @@ impl ActiveJob {
         t: f64,
         readings: &SensorReadings,
     ) -> Self {
-        let chars = q.app.characteristics();
-        let items = chars.items as f64;
-        let cpu_items = partition.cpu_fraction() * items;
         let mut job = ActiveJob {
             app: q.app,
-            chars,
-            mapping,
-            partition,
+            job: JobState::new(q.app.characteristics(), mapping, partition, initial, t),
             manager,
-            desired: initial,
-            cpu_items,
-            gpu_items: items - cpu_items,
-            cpu_done_items: 0.0,
-            gpu_done_items: 0.0,
             arrived_s: q.arrived_s,
             started_s: t,
             treq_s: q.treq_s,
             energy_j: 0.0,
             co_run_s: 0.0,
             contention_delay_s: 0.0,
-            next_control: t,
             temp: Welford::new(),
             freq: Welford::new(),
         };
@@ -1348,18 +1161,6 @@ impl ActiveJob {
         job.temp.push(readings.max_c());
         job.freq.push(initial.big.0 as f64);
         job
-    }
-
-    pub(crate) fn cpu_done(&self) -> bool {
-        self.cpu_done_items >= self.cpu_items
-    }
-
-    pub(crate) fn gpu_done(&self) -> bool {
-        self.gpu_done_items >= self.gpu_items
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.cpu_done() && self.gpu_done()
     }
 
     fn observe(&mut self, readings: &SensorReadings, freqs: ClusterFreqs) {
@@ -1432,14 +1233,6 @@ impl Welford {
 
     fn max(&self) -> f64 {
         self.max
-    }
-}
-
-fn progress(done: f64, total: f64) -> f64 {
-    if total <= 0.0 {
-        1.0
-    } else {
-        (done / total).min(1.0)
     }
 }
 

@@ -9,7 +9,7 @@
 //! change at control decisions. This module exploits both redundancies:
 //!
 //! * **SoA thermal lockstep** — each admitted cell owns one lane of a
-//!   [`ThermalBatch`]; one [`batched_thermal_step`] integrates all K RC
+//!   [`ThermalBatch`]; one [`ThermalBatch::step`] integrates all K RC
 //!   networks through the autovectorized `F64xN` kernel.
 //! * **Frozen operating points** — between control ticks a solo cell's
 //!   effective frequencies, power coefficients and progress rates are
@@ -42,9 +42,9 @@
 
 use teem_soc::perf::{cpu_rate, gpu_rate};
 use teem_soc::{
-    batched_thermal_step, big_core_hotspot_powers, read_lanes_with_hotspots, BatchPowerModel,
-    BatchScratch, ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, SensorBank, SensorSweep,
-    StepObs, ThermalBatch, ThermalModel,
+    big_core_hotspot_powers, deadline_due, read_lanes_with_hotspots, BatchPowerModel, BatchScratch,
+    ClusterFreqs, CpuMapping, HotspotSplit, NodePowerModel, SensorBank, SensorSweep, StepObs,
+    ThermalBatch, ThermalModel,
 };
 use teem_workload::bandwidth_slowdown;
 
@@ -64,10 +64,10 @@ pub(crate) fn eligible_for_lockstep(sim: &CellSim) -> bool {
     sim.active.len() == 1
         && sim.queue.is_empty()
         && sim.next_ev >= sim.events.len()
-        && !sim.zone.is_capping()
-        && sim.readings.max_c() < sim.zone.trip_c
+        && !sim.soc.zone.is_capping()
+        && sim.soc.readings.max_c() < sim.soc.zone.trip_c
         && !sim.timed_out
-        && sim.t < sim.timeout_s
+        && sim.soc.t < sim.timeout_s
 }
 
 /// The per-lane cache of everything that is constant between control
@@ -211,21 +211,21 @@ impl HotPlanes {
     /// residency); when zero rounds have elapsed `subs` is never
     /// consulted.
     fn flush(&self, slot: usize, sim: &mut CellSim, subs: u64) {
-        sim.t = self.t[slot];
+        sim.soc.t = self.t[slot];
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let step_idx = self.step_f[slot] as u64;
-        sim.step_idx = step_idx;
-        sim.energy_j = self.energy_j[slot];
+        sim.soc.step_idx = step_idx;
+        sim.soc.energy_j = self.energy_j[slot];
         sim.busy_s = self.busy_s[slot];
-        sim.last_total_w = self.last_total_w[slot];
+        sim.soc.last_total_w = self.last_total_w[slot];
         let b = self.bases[slot];
         let d = step_idx - b.step_idx0;
-        sim.scratch.obs.steps = b.steps0 + d;
-        sim.scratch.obs.batched_steps = b.batched0 + d;
-        sim.scratch.obs.substeps = b.substeps0 + d * subs;
+        sim.soc.scratch.obs.steps = b.steps0 + d;
+        sim.soc.scratch.obs.batched_steps = b.batched0 + d;
+        sim.soc.scratch.obs.substeps = b.substeps0 + d * subs;
         let j = &mut sim.active[0];
-        j.cpu_done_items = self.cpu_done[slot];
-        j.gpu_done_items = self.gpu_done[slot];
+        j.job.cpu_done_items = self.cpu_done[slot];
+        j.job.gpu_done_items = self.gpu_done[slot];
         j.energy_j = self.job_energy_j[slot];
     }
 
@@ -234,29 +234,29 @@ impl HotPlanes {
     /// liveness are fast-path state and survive untouched).
     #[allow(clippy::cast_precision_loss)] // step_idx ≪ 2⁵³
     fn reload(&mut self, slot: usize, sim: &CellSim, cache: &LaneCache) {
-        self.t[slot] = sim.t;
-        self.step_f[slot] = sim.step_idx as f64;
-        self.energy_j[slot] = sim.energy_j;
+        self.t[slot] = sim.soc.t;
+        self.step_f[slot] = sim.soc.step_idx as f64;
+        self.energy_j[slot] = sim.soc.energy_j;
         self.busy_s[slot] = sim.busy_s;
-        self.last_total_w[slot] = sim.last_total_w;
+        self.last_total_w[slot] = sim.soc.last_total_w;
         self.bases[slot] = LaneBases {
-            step_idx0: sim.step_idx,
-            steps0: sim.scratch.obs.steps,
-            batched0: sim.scratch.obs.batched_steps,
-            substeps0: sim.scratch.obs.substeps,
+            step_idx0: sim.soc.step_idx,
+            steps0: sim.soc.scratch.obs.steps,
+            batched0: sim.soc.scratch.obs.batched_steps,
+            substeps0: sim.soc.scratch.obs.substeps,
         };
         let j = &sim.active[0];
-        self.cpu_done[slot] = j.cpu_done_items;
-        self.gpu_done[slot] = j.gpu_done_items;
+        self.cpu_done[slot] = j.job.cpu_done_items;
+        self.gpu_done[slot] = j.job.gpu_done_items;
         self.job_energy_j[slot] = j.energy_j;
-        self.next_sample[slot] = sim.next_sample;
-        self.next_control[slot] = j.next_control;
+        self.next_sample[slot] = sim.soc.next_sample;
+        self.next_control[slot] = j.job.next_control;
         self.timeout_s[slot] = sim.timeout_s;
-        self.cpu_items[slot] = j.cpu_items;
-        self.gpu_items[slot] = j.gpu_items;
+        self.cpu_items[slot] = j.job.cpu_items;
+        self.gpu_items[slot] = j.job.gpu_items;
         self.inc_cpu[slot] = cache.inc_cpu;
         self.inc_gpu[slot] = cache.inc_gpu;
-        self.cpu_has_mapping[slot] = !j.mapping.is_empty();
+        self.cpu_has_mapping[slot] = !j.job.mapping.is_empty();
     }
 
     /// Clears slot `slot` back to the vacant state.
@@ -271,20 +271,20 @@ impl LaneCache {
         let j = &sim.active[0];
         let mut cache = LaneCache {
             model: NodePowerModel::single_app(
-                &sim.board,
-                j.mapping,
-                sim.effective,
-                !j.cpu_done(),
-                !j.gpu_done(),
-                j.chars.activity,
+                &sim.soc.board,
+                j.job.mapping,
+                sim.soc.effective,
+                !j.job.cpu_done(),
+                !j.job.gpu_done(),
+                j.job.chars.activity,
             ),
             inc_cpu: 0.0,
             inc_gpu: 0.0,
-            effective: sim.effective,
-            cpu_busy: !j.cpu_done(),
-            gpu_busy: !j.gpu_done(),
+            effective: sim.soc.effective,
+            cpu_busy: !j.job.cpu_done(),
+            gpu_busy: !j.job.gpu_done(),
             sample_mapping: combined_mapping(&sim.active, sim.cluster_cores),
-            sample_activity: j.chars.activity,
+            sample_activity: j.job.chars.activity,
             hotspot: HotspotSplit::default(),
         };
         cache.refresh_rates(sim);
@@ -298,26 +298,32 @@ impl LaneCache {
     /// one GPU sharer).
     fn refresh_rates(&mut self, sim: &CellSim) {
         let j = &sim.active[0];
-        let total_pressure = j.chars.mem_sensitivity;
+        let total_pressure = j.job.chars.mem_sensitivity;
         let s = bandwidth_slowdown(
-            j.chars.mem_sensitivity,
-            total_pressure - j.chars.mem_sensitivity,
+            j.job.chars.mem_sensitivity,
+            total_pressure - j.job.chars.mem_sensitivity,
         );
         let gpu_sharers = 1.0_f64;
-        self.inc_cpu =
-            cpu_rate(&j.chars, j.mapping, sim.effective.big, sim.effective.little) * sim.dt / s;
-        self.inc_gpu = gpu_rate(&j.chars, sim.effective.gpu) * sim.dt / (s * gpu_sharers);
+        self.inc_cpu = cpu_rate(
+            &j.job.chars,
+            j.job.mapping,
+            sim.soc.effective.big,
+            sim.soc.effective.little,
+        ) * sim.soc.dt
+            / s;
+        self.inc_gpu =
+            gpu_rate(&j.job.chars, sim.soc.effective.gpu) * sim.soc.dt / (s * gpu_sharers);
     }
 
     fn rebuild_model(&mut self, sim: &CellSim) {
         let j = &sim.active[0];
         self.model = NodePowerModel::single_app(
-            &sim.board,
-            j.mapping,
-            sim.effective,
+            &sim.soc.board,
+            j.job.mapping,
+            sim.soc.effective,
             self.cpu_busy,
             self.gpu_busy,
-            j.chars.activity,
+            j.job.chars.activity,
         );
         self.refresh_hotspot(sim);
     }
@@ -327,9 +333,9 @@ impl LaneCache {
     /// CPU busy flag; mapping and activity are residency-constant).
     fn refresh_hotspot(&mut self, sim: &CellSim) {
         self.hotspot = HotspotSplit::fold(
-            &sim.board,
+            &sim.soc.board,
             self.sample_mapping,
-            sim.effective,
+            sim.soc.effective,
             self.cpu_busy,
             self.sample_activity,
         );
@@ -338,7 +344,7 @@ impl LaneCache {
     /// Refreshes everything derived from the effective frequencies
     /// after an actuation changed them.
     fn refresh_operating_point(&mut self, sim: &CellSim) {
-        self.effective = sim.effective;
+        self.effective = sim.soc.effective;
         self.refresh_rates(sim);
         self.rebuild_model(sim);
     }
@@ -352,7 +358,7 @@ struct PoolLane {
     cache: LaneCache,
     /// Caller-supplied identifier (the sweep uses the cell index).
     token: usize,
-    /// `sim.scratch.obs.steps` at admission — the denominator baseline
+    /// `sim.soc.scratch.obs.steps` at admission — the denominator baseline
     /// for the lane-occupancy metric.
     steps_at_entry: u64,
 }
@@ -493,16 +499,18 @@ impl LockstepPool {
         sim: CellSim,
         token: usize,
     ) -> Result<(), (ScenarioRunner, CellSim, usize)> {
-        let dt_ok = self.dt.is_none_or(|dt| dt.to_bits() == sim.dt.to_bits());
+        let dt_ok = self
+            .dt
+            .is_none_or(|dt| dt.to_bits() == sim.soc.dt.to_bits());
         let slot = self.lanes.iter().position(Option::is_none);
         let Some(slot) = slot else {
             return Err((runner, sim, token));
         };
-        if !eligible_for_lockstep(&sim) || !self.batch.matches(&sim.board.thermal) || !dt_ok {
+        if !eligible_for_lockstep(&sim) || !self.batch.matches(&sim.soc.board.thermal) || !dt_ok {
             return Err((runner, sim, token));
         }
-        self.dt = Some(sim.dt);
-        self.batch.load_lane(slot, &sim.board.thermal);
+        self.dt = Some(sim.soc.dt);
+        self.batch.load_lane(slot, &sim.soc.board.thermal);
         let cache = LaneCache::for_sim(&sim);
         self.power.set_lane(slot, &cache.model);
         self.hot.reload(slot, &sim, &cache);
@@ -514,7 +522,7 @@ impl LockstepPool {
         // the admission instant.
         self.hot.flags_dirty[slot] = true;
         self.hot.live[slot] = true;
-        let steps_at_entry = sim.scratch.obs.steps;
+        let steps_at_entry = sim.soc.scratch.obs.steps;
         self.lanes[slot] = Some(PoolLane {
             runner,
             sim,
@@ -544,10 +552,13 @@ impl LockstepPool {
         tokens
     }
 
-    /// Clears one retiring lane's slot: syncs the batch lane's thermal
-    /// state back to the cell's own board and zeroes its power column.
-    fn store_out(&mut self, slot: usize, lane: &mut PoolLane) {
-        self.batch.store_lane(slot, &mut lane.sim.board.thermal);
+    /// Retires slot `slot`'s lane onto `retired`: syncs the batch lane's
+    /// thermal state back to the cell's own board, zeroes its power
+    /// column and frees the slot. The caller has flushed the hot
+    /// planes.
+    fn retire(&mut self, slot: usize, retired: &mut Vec<RetiredLane>) {
+        let mut lane = self.lanes[slot].take().expect("lane occupied");
+        self.batch.store_lane(slot, &mut lane.sim.soc.board.thermal);
         self.power.clear_lane(slot);
         self.hot.clear(slot);
         let kp = self.batch.stride();
@@ -557,6 +568,12 @@ impl LockstepPool {
         if self.is_empty() {
             self.dt = None;
         }
+        retired.push(RetiredLane {
+            runner: lane.runner,
+            sim: lane.sim,
+            token: lane.token,
+            steps_at_entry: lane.steps_at_entry,
+        });
     }
 
     /// Executes one lockstep round: every live lane advances exactly
@@ -601,15 +618,15 @@ impl LockstepPool {
             let cpu_done = &mut p.cpu_done[..k];
             let gpu_done = &mut p.gpu_done[..k];
             // The `!(a >= b)` forms mirror the scalar loop's
-            // `!j.cpu_done()` exactly, NaN edge included — do not
+            // `!j.job.cpu_done()` exactly, NaN edge included — do not
             // "simplify" to `<`. A masked-off slot adds +0.0, the
             // bit-identity on every value the done counters can hold
             // (they start at +0.0 and only ever grow).
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             for i in 0..k {
                 let n = t[i] >= timeout_s[i]
-                    || t[i] + 1e-12 >= next_sample[i]
-                    || t[i] + 1e-12 >= next_control[i]
+                    || deadline_due(t[i], next_sample[i])
+                    || deadline_due(t[i], next_control[i])
                     || flags_dirty[i];
                 need_mask |= u64::from(n && live[i]) << i;
                 let fast = live[i] && !n;
@@ -655,13 +672,13 @@ impl LockstepPool {
             // sample+control tick, so the board round-trip is elided on
             // every sampling step, not just sample-only ones.
             if self.hot.t[slot] < self.hot.timeout_s[slot]
-                && self.hot.t[slot] + 1e-12 >= self.hot.next_sample[slot]
+                && deadline_due(self.hot.t[slot], self.hot.next_sample[slot])
             {
                 let lane = self.lanes[slot].as_ref().expect("live lane occupied");
-                let nodes = lane.sim.board.nodes;
+                let nodes = lane.sim.soc.board.nodes;
                 let big_c = self.batch.lane_temp(nodes.big, slot);
                 let gpu_c = self.batch.lane_temp(nodes.gpu, slot);
-                // Mirrors the scalar `any(|j| !j.cpu_done())`.
+                // Mirrors the scalar `any(|j| !j.job.cpu_done())`.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 let cpu_busy = !(self.hot.cpu_done[slot] >= self.hot.cpu_items[slot]);
                 // The folded split is rebuilt at every operating-point
@@ -669,15 +686,15 @@ impl LockstepPool {
                 // event-time inputs; the guard covers the half-step
                 // where progress flipped `cpu_busy` after this round's
                 // sample queued but `apply_flip` has not refolded yet.
-                debug_assert!(lane.sim.effective == lane.cache.effective);
+                debug_assert!(lane.sim.soc.effective == lane.cache.effective);
                 let core_power = if cpu_busy == lane.cache.cpu_busy {
                     lane.cache.hotspot.eval(big_c)
                 } else {
                     big_core_hotspot_powers(
-                        &lane.sim.board,
+                        &lane.sim.soc.board,
                         big_c,
                         lane.cache.sample_mapping,
-                        lane.sim.effective,
+                        lane.sim.soc.effective,
                         cpu_busy,
                         lane.cache.sample_activity,
                     )
@@ -686,24 +703,17 @@ impl LockstepPool {
                 self.swept.push(slot);
                 continue;
             }
+            let subs = self.subs_per_round;
             let lane = self.lanes[slot].as_mut().expect("live lane occupied");
-            let exit = pre_thermal_step(
-                &mut self.hot,
-                lane,
-                &mut self.power,
-                slot,
-                self.subs_per_round,
-            );
-            if exit == PreExit::Handoff {
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
+            // Timeout first, as the scalar loop checks it (before
+            // sampling); the scalar step_cell re-detects it and
+            // terminates the cell.
+            if self.hot.t[slot] >= self.hot.timeout_s[slot] {
+                self.hot.flush(slot, &mut lane.sim, subs);
+                self.retire(slot, retired);
+                continue;
             }
+            control_then_progress(&mut self.hot, lane, &mut self.power, slot, subs);
         }
 
         // --- Batched sensor sweep: every due sample's bank read in one
@@ -728,6 +738,7 @@ impl LockstepPool {
                         .as_mut()
                         .expect("swept lane occupied")
                         .sim
+                        .soc
                         .board
                         .sensors,
                 );
@@ -749,60 +760,22 @@ impl LockstepPool {
             let lane = self.lanes[slot].as_mut().expect("swept lane occupied");
             let sim = &mut lane.sim;
             // The sensing phase's observable effects on the hot clock:
-            // store the reading, record the row, advance the sample
-            // grid (mirrored back so the event mask keeps tracking it).
-            sim.t = self.hot.t[slot];
-            sim.last_total_w = self.hot.last_total_w[slot];
-            sim.readings = self.sweep.readings[row];
+            // accept the reading (advancing the sample grid, mirrored
+            // back so the event mask keeps tracking it), record the row.
+            sim.soc.t = self.hot.t[slot];
+            sim.soc.last_total_w = self.hot.last_total_w[slot];
+            sim.soc.accept_sample(self.sweep.readings[row]);
             sim.record_sample();
-            self.hot.next_sample[slot] = sim.next_sample;
+            self.hot.next_sample[slot] = sim.soc.next_sample;
             // At or above trip: hand off before the control phase —
             // the scalar loop resumes with control, then trips in
             // actuation, exactly as it would have.
-            if sim.readings.max_c() >= sim.zone.trip_c {
+            if sim.soc.readings.max_c() >= sim.soc.zone.trip_c {
                 self.hot.flush(slot, sim, subs);
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
+                self.retire(slot, retired);
                 continue;
             }
-            // Control and actuation, only when they can change anything
-            // (same predicate as the sim path).
-            let due = self.hot.t[slot] + 1e-12 >= self.hot.next_control[slot];
-            if due || self.hot.flags_dirty[slot] {
-                self.hot.flush(slot, sim, subs);
-                let obs_t0 = sim.scratch.obs.clock();
-                sim.phase_control();
-                sim.phase_actuate();
-                sim.scratch.obs.lap_control(obs_t0);
-                if sim.effective != lane.cache.effective {
-                    lane.cache.refresh_operating_point(sim);
-                    self.power.set_lane(slot, &lane.cache.model);
-                    self.hot.inc_cpu[slot] = lane.cache.inc_cpu;
-                    self.hot.inc_gpu[slot] = lane.cache.inc_gpu;
-                }
-                // Control/actuate mutate only `next_control` and (via
-                // the refresh above) the `effective`-derived rates:
-                // every other mirrored field was just flushed and left
-                // untouched, so the full reload round-trip is elided.
-                self.hot.next_control[slot] = sim.active[0].next_control;
-                self.hot.flags_dirty[slot] = false;
-            }
-            if progress_at(&mut self.hot, slot) {
-                let lane = self.lanes[slot].as_mut().expect("swept lane occupied");
-                apply_flip(
-                    &mut self.hot,
-                    lane,
-                    &mut self.power,
-                    slot,
-                    self.subs_per_round,
-                );
-            }
+            control_then_progress(&mut self.hot, lane, &mut self.power, slot, subs);
         }
 
         let live = self.hot.live[..k].iter().filter(|&&b| b).count() as u64;
@@ -825,7 +798,7 @@ impl LockstepPool {
         //     so it is identical across lanes and to the scalar loop. ---
         let dt = self.dt.expect("dt pinned while lanes are resident");
         let obs_t0 = self.obs.clock();
-        let substeps = batched_thermal_step(&mut self.batch, dt, &self.scratch);
+        let substeps = self.batch.step(dt, &self.scratch.power);
         self.obs.lap_thermal(obs_t0);
 
         // The sub-step count is a pure function of the pinned `dt` (and
@@ -866,16 +839,10 @@ impl LockstepPool {
             if self.hot.cpu_done[slot] >= self.hot.cpu_items[slot]
                 && self.hot.gpu_done[slot] >= self.hot.gpu_items[slot]
             {
-                let mut lane = self.lanes[slot].take().expect("lane occupied");
+                let lane = self.lanes[slot].as_mut().expect("lane occupied");
                 self.hot.flush(slot, &mut lane.sim, self.subs_per_round);
                 lane.sim.phase_completions();
-                self.store_out(slot, &mut lane);
-                retired.push(RetiredLane {
-                    runner: lane.runner,
-                    sim: lane.sim,
-                    token: lane.token,
-                    steps_at_entry: lane.steps_at_entry,
-                });
+                self.retire(slot, retired);
             }
         }
 
@@ -885,19 +852,13 @@ impl LockstepPool {
     }
 }
 
-#[derive(PartialEq, Eq)]
-enum PreExit {
-    Continue,
-    Handoff,
-}
-
 /// The scalar progress phase specialised to one app, entirely on the
 /// hot planes (bit-identical expressions) — the slow-path twin of the
 /// pre-pass vector scan, for event lanes that progress after their
 /// control pass. Returns `true` when a busy flag flipped — the caller
 /// must then rebuild the lane's power model (the scalar power phase
 /// sees post-progress flags in the same step).
-// The `!(a >= b)` forms mirror the scalar loop's `!j.cpu_done()`
+// The `!(a >= b)` forms mirror the scalar loop's `!j.job.cpu_done()`
 // exactly, NaN edge included — do not "simplify" to `<`.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 #[inline(always)]
@@ -917,7 +878,7 @@ fn progress_at(p: &mut HotPlanes, slot: usize) -> bool {
 /// new share flags now, and marks actuation dirty so the next step runs
 /// the control/actuate pass (the scalar loop ran actuation *before*
 /// progress, so frequencies can first react one step later).
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // mirrors `!j.cpu_done()`
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // mirrors `!j.job.cpu_done()`
 fn apply_flip(
     p: &mut HotPlanes,
     lane: &mut PoolLane,
@@ -938,59 +899,45 @@ fn apply_flip(
     p.flags_dirty[slot] = true;
 }
 
-/// One lane's pre-thermal slice of the engine step for the non-sample
-/// cases: the scalar loop's timeout check, control and actuation (when
-/// they can matter), and progress — through the shared [`CellSim`]
-/// phase methods (bracketed by hot-mirror flush/reload) or the mirrored
-/// exact expressions. Due samples never reach this function: they are
-/// gathered into the round's batched sensor sweep by `step_round` and
-/// finished in its post-sweep pass.
-fn pre_thermal_step(
+/// One lane's control, actuation and progress phases for a step the
+/// scalar loop would take: control and actuation through the shared
+/// [`CellSim`] phase methods (bracketed by a hot-mirror flush) only when
+/// they can change anything, then progress on the mirrored exact
+/// expressions.
+fn control_then_progress(
     p: &mut HotPlanes,
     lane: &mut PoolLane,
     power: &mut BatchPowerModel,
     slot: usize,
     subs: u64,
-) -> PreExit {
-    // Timeout first, as the scalar loop checks it (before sampling).
-    // The scalar step_cell will re-detect it and terminate the cell.
-    if p.t[slot] >= p.timeout_s[slot] {
-        p.flush(slot, &mut lane.sim, subs);
-        return PreExit::Handoff;
-    }
-
-    // Control and actuation, only when they can change anything: a due
-    // control tick, or a busy-flag flip last step. Otherwise
+) {
+    // A due control tick or a busy-flag flip last step; otherwise the
     // `arbitrate_freqs` inputs are unchanged and the zone poll below
     // trip is a no-op — the scalar loop's every-step actuation provably
     // recomputes the same `effective`.
-    let due = p.t[slot] + 1e-12 >= p.next_control[slot];
-    if due || p.flags_dirty[slot] {
+    if deadline_due(p.t[slot], p.next_control[slot]) || p.flags_dirty[slot] {
         let sim = &mut lane.sim;
         p.flush(slot, sim, subs);
-        let obs_t0 = sim.scratch.obs.clock();
+        let obs_t0 = sim.soc.scratch.obs.clock();
         sim.phase_control();
         sim.phase_actuate();
-        sim.scratch.obs.lap_control(obs_t0);
-        if sim.effective != lane.cache.effective {
+        sim.soc.scratch.obs.lap_control(obs_t0);
+        if sim.soc.effective != lane.cache.effective {
             lane.cache.refresh_operating_point(sim);
             power.set_lane(slot, &lane.cache.model);
             p.inc_cpu[slot] = lane.cache.inc_cpu;
             p.inc_gpu[slot] = lane.cache.inc_gpu;
         }
-        // Same slim reload as the post-sweep control block: control and
-        // actuation touch only `next_control` and the rates mirrored
-        // above.
-        p.next_control[slot] = sim.active[0].next_control;
+        // Control and actuation mutate only `next_control` and (via the
+        // refresh above) the `effective`-derived rates: every other
+        // mirrored field was just flushed and left untouched, so the
+        // full reload round-trip is elided.
+        p.next_control[slot] = sim.active[0].job.next_control;
         p.flags_dirty[slot] = false;
     }
-
-    // Progress: the scalar phase specialised to one app, with the
-    // mirrored per-step increments (bit-identical expressions).
     if progress_at(p, slot) {
         apply_flip(p, lane, power, slot, subs);
     }
-    PreExit::Continue
 }
 
 /// Runs one cell entirely through the pool: scalar warm-up until
@@ -1016,7 +963,7 @@ pub(crate) fn run_cell_lockstep(
     // Built from the warmed cell's own board, so the harness drives
     // whatever topology the runner was configured with (the many-node
     // parity tests lean on this).
-    let mut pool = LockstepPool::new(k, &sim.board.thermal, false);
+    let mut pool = LockstepPool::new(k, &sim.soc.board.thermal, false);
     assert!(
         pool.admit(runner, sim, 0).is_ok(),
         "eligible cell must admit"

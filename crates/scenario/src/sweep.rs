@@ -25,9 +25,9 @@
 //! the cell, and the sweep **keeps draining** the remaining cells —
 //! one bad cell costs one cell, not the grid.
 //!
-//! [`BatchRunner`](crate::BatchRunner) is a thin collect-and-reorder
-//! wrapper over this engine, and keeps its deterministic scenario-major
-//! output (pinned bit-identical by the golden-digest tests).
+//! [`SweepSpec::run_collect`] buffers the stream back into deterministic
+//! scenario-major order for small matrices (pinned bit-identical by the
+//! golden-digest tests).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -275,9 +275,8 @@ impl SweepRunStats {
 /// thresholds/ambients/tunables/idle policy to "whatever the scenario
 /// and configuration already say"), so the smallest spec is exactly the
 /// old scenario × approach matrix — and with no extra axes the cell
-/// scenarios run *unrenamed and untouched*, which is how
-/// [`BatchRunner`](crate::BatchRunner) keeps its golden digests
-/// bit-identical on top of this engine.
+/// scenarios run *unrenamed and untouched*, which is how a plain matrix
+/// keeps its golden digests bit-identical on top of this engine.
 ///
 /// # Streaming thousands of cells in O(workers) memory
 ///
@@ -1292,13 +1291,7 @@ impl SweepSpec {
         instrument: bool,
     ) -> Result<ScenarioResult, String> {
         let (mut runner, scenario) = self.make_cell_runner(cell, profiles, config, instrument);
-        match std::panic::catch_unwind(AssertUnwindSafe(|| runner.run(&scenario))) {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(e)) => Err(e.to_string()),
-            // `&*payload`, not `&payload`: coercing `&Box<dyn Any>`
-            // would downcast against the box itself and lose the text.
-            Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
-        }
+        catch_cell(|| runner.run(&scenario))
     }
 
     /// Starts one cell for the batched path: prepare it and step it on
@@ -1313,24 +1306,18 @@ impl SweepSpec {
         instrument: bool,
     ) -> BatchStart {
         let (mut runner, scenario) = self.make_cell_runner(cell, profiles, config, instrument);
-        let warmup = std::panic::catch_unwind(AssertUnwindSafe(
-            move || -> Result<BatchStart, teem_linreg::LinregError> {
-                let mut sim = runner.prepare_cell(&scenario)?;
-                loop {
-                    if crate::lockstep::eligible_for_lockstep(&sim) {
-                        return Ok(BatchStart::Eligible(Box::new((runner, sim))));
-                    }
-                    if !runner.step_cell(&mut sim)? {
-                        return Ok(BatchStart::Done(Box::new(runner.finish_cell(sim))));
-                    }
+        catch_cell(move || {
+            let mut sim = runner.prepare_cell(&scenario)?;
+            loop {
+                if crate::lockstep::eligible_for_lockstep(&sim) {
+                    return Ok(BatchStart::Eligible(Box::new((runner, sim))));
                 }
-            },
-        ));
-        match warmup {
-            Ok(Ok(start)) => start,
-            Ok(Err(e)) => BatchStart::Failed(e.to_string()),
-            Err(payload) => BatchStart::Failed(format!("panicked: {}", panic_message(&*payload))),
-        }
+                if !runner.step_cell(&mut sim)? {
+                    return Ok(BatchStart::Done(Box::new(runner.finish_cell(sim))));
+                }
+            }
+        })
+        .unwrap_or_else(BatchStart::Failed)
     }
 
     /// The batched worker loop: claim cells through `next`, warm them
@@ -1388,9 +1375,9 @@ impl SweepSpec {
                         // rebuild the SoA batch for the new board
                         // (folding the old pool's counters first)
                         // instead of degrading its cells to scalar.
-                        if pool.is_empty() && !pool.matches_topology(&sim.board.thermal) {
+                        if pool.is_empty() && !pool.matches_topology(&sim.soc.board.thermal) {
                             fold_pool_obs(wobs, &pool);
-                            pool = LockstepPool::new(k, &sim.board.thermal, wobs.is_some());
+                            pool = LockstepPool::new(k, &sim.soc.board.thermal, wobs.is_some());
                         }
                         match pool.admit(runner, sim, index) {
                             Ok(()) => in_flight.push((index, cell, started)),
@@ -1399,50 +1386,16 @@ impl SweepSpec {
                                 // degrade this cell to scalar.
                                 let busy_t0 = wobs.as_ref().map(|_| Instant::now());
                                 let outcome = finish_scalar(runner, sim);
-                                if let Some(w) = wobs.as_mut() {
-                                    if let Some(t0) = busy_t0 {
-                                        w.bank_busy(t0);
-                                    }
-                                    w.observe_batched_cell(
-                                        &cell.name,
-                                        index,
-                                        started.unwrap_or_else(Instant::now),
-                                        &outcome,
-                                    );
-                                }
-                                if !emit_outcome(emit, cell, outcome) {
-                                    dead = true;
-                                }
+                                dead |=
+                                    !settle_batched(wobs, emit, cell, started, busy_t0, outcome);
                             }
                         }
                     }
                     BatchStart::Done(result) => {
-                        let outcome = Ok(*result);
-                        if let Some(w) = wobs.as_mut() {
-                            w.observe_batched_cell(
-                                &cell.name,
-                                index,
-                                started.unwrap_or_else(Instant::now),
-                                &outcome,
-                            );
-                        }
-                        if !emit_outcome(emit, cell, outcome) {
-                            dead = true;
-                        }
+                        dead |= !settle_batched(wobs, emit, cell, started, None, Ok(*result));
                     }
                     BatchStart::Failed(message) => {
-                        let outcome = Err(message);
-                        if let Some(w) = wobs.as_mut() {
-                            w.observe_batched_cell(
-                                &cell.name,
-                                index,
-                                started.unwrap_or_else(Instant::now),
-                                &outcome,
-                            );
-                        }
-                        if !emit_outcome(emit, cell, outcome) {
-                            dead = true;
-                        }
+                        dead |= !settle_batched(wobs, emit, cell, started, None, Err(message));
                     }
                 }
             }
@@ -1478,23 +1431,10 @@ impl SweepSpec {
                         .iter()
                         .position(|(t, _, _)| *t == token)
                         .expect("evicted lane was in flight");
-                    let (index, cell, started) = in_flight.remove(pos);
+                    let (_, cell, started) = in_flight.remove(pos);
                     let busy_t0 = wobs.as_ref().map(|_| Instant::now());
                     let outcome = self.run_cell(&cell, profiles, config, wobs.is_some());
-                    if let Some(w) = wobs.as_mut() {
-                        if let Some(t0) = busy_t0 {
-                            w.bank_busy(t0);
-                        }
-                        w.observe_batched_cell(
-                            &cell.name,
-                            index,
-                            started.unwrap_or_else(Instant::now),
-                            &outcome,
-                        );
-                    }
-                    if !emit_outcome(emit, cell, outcome) {
-                        dead = true;
-                    }
+                    dead |= !settle_batched(wobs, emit, cell, started, busy_t0, outcome);
                 }
             }
 
@@ -1506,28 +1446,14 @@ impl SweepSpec {
                     .iter()
                     .position(|(t, _, _)| *t == r.token)
                     .expect("retired lane was in flight");
-                let (index, cell, started) = in_flight.remove(pos);
-                let steps_at_entry = r.steps_at_entry;
+                let (_, cell, started) = in_flight.remove(pos);
                 let busy_t0 = wobs.as_ref().map(|_| Instant::now());
                 let outcome = finish_scalar(r.runner, r.sim);
-                if let Some(w) = wobs.as_mut() {
-                    if let Some(t0) = busy_t0 {
-                        w.bank_busy(t0);
-                    }
-                    if let Ok(result) = &outcome {
-                        let in_pool = result.kernel.steps.saturating_sub(steps_at_entry);
-                        w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
-                    }
-                    w.observe_batched_cell(
-                        &cell.name,
-                        index,
-                        started.unwrap_or_else(Instant::now),
-                        &outcome,
-                    );
+                if let (Some(w), Ok(result)) = (wobs.as_mut(), &outcome) {
+                    let in_pool = result.kernel.steps.saturating_sub(r.steps_at_entry);
+                    w.record_lane_occupancy(result.kernel.batched_steps, in_pool);
                 }
-                if !emit_outcome(emit, cell, outcome) {
-                    dead = true;
-                }
+                dead |= !settle_batched(wobs, emit, cell, started, busy_t0, outcome);
             }
         }
 
@@ -1597,6 +1523,44 @@ fn finish_scalar(
     match std::panic::catch_unwind(AssertUnwindSafe(run)) {
         Ok(Ok(result)) => Ok(result),
         Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
+    }
+}
+
+/// Settles a batched-path cell: banks the worker's busy time since
+/// `busy_t0` (when timed), records the cell's wall time since `started`
+/// with the worker's collector, and emits its outcome; `false` when the
+/// consumer is gone.
+fn settle_batched(
+    wobs: &mut Option<WorkerObs>,
+    emit: &mut dyn FnMut(SweepEvent) -> bool,
+    cell: SweepCell,
+    started: Option<Instant>,
+    busy_t0: Option<Instant>,
+    outcome: Result<ScenarioResult, String>,
+) -> bool {
+    if let Some(w) = wobs.as_mut() {
+        if let Some(t0) = busy_t0 {
+            w.bank_busy(t0);
+        }
+        w.observe_batched_cell(
+            &cell.name,
+            cell.index,
+            started.unwrap_or_else(Instant::now),
+            &outcome,
+        );
+    }
+    emit_outcome(emit, cell, outcome)
+}
+
+/// Runs one cell's work with panics caught on this worker: an error or
+/// a panic comes back as the cell's failure message.
+fn catch_cell<T>(work: impl FnOnce() -> Result<T, teem_linreg::LinregError>) -> Result<T, String> {
+    match std::panic::catch_unwind(AssertUnwindSafe(work)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(e.to_string()),
+        // `&*payload`, not `&payload`: coercing `&Box<dyn Any>` would
+        // downcast against the box itself and lose the text.
         Err(payload) => Err(format!("panicked: {}", panic_message(&*payload))),
     }
 }
@@ -1960,6 +1924,49 @@ mod tests {
         let err = spec.run_collect().expect_err("poison cell fails");
         let msg = err.to_string();
         assert!(msg.contains("poison"), "{msg}");
+    }
+
+    #[test]
+    fn collect_error_names_the_panicked_cell() {
+        // A panicking cell must not crash the caller: the siblings
+        // complete and the collected error says which cell died and how.
+        let poison = Scenario::new("poison-cell").at(
+            0.0,
+            ScenarioEvent::Arrival(AppRequest::new(App::Mvt, 0.9).with_threshold(500.0)),
+        );
+        let good = Scenario::new("good").arrive(0.0, App::Gesummv, 0.9);
+        let err = SweepSpec::over([poison, good])
+            .run_collect()
+            .expect_err("the poisoned cell must surface as an error");
+        let msg = err.to_string();
+        assert!(msg.contains("poison-cell"), "names the cell: {msg}");
+        assert!(msg.contains("panicked"), "says what happened: {msg}");
+    }
+
+    #[test]
+    fn empty_axes_collect_nothing() {
+        let results = SweepSpec::over([]).run_collect().expect("trivially");
+        assert!(results.is_empty());
+        let results = SweepSpec::over([Scenario::new("x")])
+            .approaches(&[])
+            .run_collect()
+            .expect("trivially");
+        assert!(results.is_empty());
+    }
+
+    #[test]
+    fn patch_wins_over_an_explicit_config() {
+        // The patch applies on top of a wholesale config for exactly the
+        // fields it names.
+        let cfg = SweepSpec::over(two_scenarios())
+            .config(ScenarioRunner::default_config())
+            .patch_config(ConfigPatch {
+                timeout_s: Some(123.0),
+                ..ConfigPatch::default()
+            })
+            .resolved_config();
+        assert_eq!(cfg.timeout_s, 123.0);
+        assert_eq!(cfg.dt_s, ScenarioRunner::default_config().dt_s);
     }
 
     #[test]

@@ -9,14 +9,13 @@
 //! 1. a **golden digest** of a builtin-suite scenario trace, recorded
 //!    from the pre-refactor engine — any change to operation order,
 //!    buffering or sensor-noise consumption changes the digest;
-//! 2. an **A/B determinism check** between the in-place power-model
-//!    entry points and the (test-only) allocating wrappers.
+//! 2. an **A/B determinism check** of the in-place power-model entry
+//!    points against fresh allocations.
 
 use teem_core::runner::Approach;
 use teem_scenario::{ContentionPolicy, Scenario, ScenarioRunner};
 use teem_soc::{
-    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into, Board,
-    ClusterFreqs, CpuMapping, MHz,
+    idle_node_powers, idle_node_powers_into, node_powers_into, Board, ClusterFreqs, CpuMapping, MHz,
 };
 use teem_workload::App;
 
@@ -135,12 +134,11 @@ fn streaming_sweep_reproduces_pre_refactor_matrix_digests() {
          pre-refactor matrix (got {:#018x})",
         results[3].trace.digest()
     );
-    // And the wrapper agrees with the engine cell for cell.
-    let matrix = teem_scenario::BatchRunner::new()
-        .run_matrix(
-            &[builtin("back-to-back"), builtin("ambient-staircase")],
-            &[Approach::Teem, Approach::Ondemand],
-        )
+    // And the default contention axis agrees with the explicit one cell
+    // for cell.
+    let matrix = SweepSpec::over([builtin("back-to-back"), builtin("ambient-staircase")])
+        .approaches(&[Approach::Teem, Approach::Ondemand])
+        .run_collect()
         .expect("matrix runs");
     for (cell, wrapped) in results.iter().zip(matrix.iter()) {
         assert_eq!(cell.trace.digest(), wrapped.trace.digest());
@@ -193,9 +191,10 @@ fn digest_is_reproducible_within_a_build() {
     assert_eq!(run().trace.digest(), run().trace.digest());
 }
 
-/// The allocating wrappers and the in-place entry points must agree to
-/// the bit on every node, for busy and idle boards alike, across the
-/// frequency range.
+/// The in-place entry points must not depend on what the reused output
+/// buffer held: a fresh allocation and a buffer left dirty by the
+/// previous evaluation agree to the bit on every node, for busy and idle
+/// boards alike, across the frequency range.
 #[test]
 fn in_place_power_model_matches_allocating_path() {
     let board = Board::odroid_xu4_ideal();
@@ -211,7 +210,8 @@ fn in_place_power_model_matches_allocating_path() {
             gpu: MHz(gpu),
         };
         for &(cpu_busy, gpu_busy) in &[(true, true), (true, false), (false, true), (false, false)] {
-            let alloc = node_powers_for(
+            let mut alloc = vec![0.0; board.thermal.len()];
+            node_powers_into(
                 &board,
                 CpuMapping::new(2, 3),
                 freqs,
@@ -219,6 +219,7 @@ fn in_place_power_model_matches_allocating_path() {
                 gpu_busy,
                 chars.activity,
                 &temps,
+                &mut alloc,
             );
             node_powers_into(
                 &board,

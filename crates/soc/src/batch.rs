@@ -657,34 +657,12 @@ impl BatchPowerModel {
     }
 }
 
-/// Evaluates one frozen power model per lane and fills the batch's SoA
-/// power vector — the K-wide counterpart of calling
-/// [`node_powers_into`](crate::node_powers_into) K times. Returns
-/// nothing; use [`NodePowerModel::eval_into_lane`] when the per-lane
-/// total is needed (the sweep lockstep path does, for energy
-/// accounting).
-///
-/// # Panics
-///
-/// Panics if `models.len() != batch.lanes()` or on any per-lane
-/// mismatch, as [`NodePowerModel::eval_into_lane`].
-pub fn batched_node_powers_into(
-    models: &[NodePowerModel],
-    batch: &ThermalBatch,
-    scratch: &mut BatchScratch,
-) {
-    assert_eq!(models.len(), batch.lanes(), "one model per lane");
-    for (lane, m) in models.iter().enumerate() {
-        m.eval_into_lane(batch, lane, &mut scratch.power);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sensors::SensorBank;
     use crate::thermal::ThermalModelBuilder;
-    use crate::{node_powers_for, MHz};
+    use crate::{node_powers_into, MHz};
 
     fn toy(ambient: f64, hot: f64) -> ThermalModel {
         let mut b = ThermalModelBuilder::new(ambient);
@@ -863,8 +841,17 @@ mod tests {
             for &(cpu_busy, gpu_busy) in
                 &[(true, true), (true, false), (false, true), (false, false)]
             {
-                let reference =
-                    node_powers_for(&board, mapping, freqs, cpu_busy, gpu_busy, 0.85, &temps);
+                let mut reference = vec![0.0; board.thermal.len()];
+                node_powers_into(
+                    &board,
+                    mapping,
+                    freqs,
+                    cpu_busy,
+                    gpu_busy,
+                    0.85,
+                    &temps,
+                    &mut reference,
+                );
                 let model =
                     NodePowerModel::single_app(&board, mapping, freqs, cpu_busy, gpu_busy, 0.85);
                 let total = model.eval_into_lane(&batch, 0, &mut scratch.power);

@@ -7,9 +7,8 @@ use crate::freq::MHz;
 use crate::perf::{cpu_rate, gpu_rate, CpuMapping};
 use crate::sensors::SensorReadings;
 use crate::thermal_zone::ThermalZone;
-use teem_telemetry::stats::SeriesStats;
 use teem_telemetry::{RunSummary, Trace};
-use teem_workload::{App, Partition};
+use teem_workload::{App, KernelCharacteristics, Partition};
 
 /// Cluster frequencies at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +72,8 @@ pub struct SocView {
     pub gpu_progress: f64,
     /// Big-cluster utilisation in `[0, 1]` (what ondemand samples).
     pub big_util: f64,
-    /// Instantaneous wall power, watts.
+    /// Instantaneous wall power: the board's total draw over the latest
+    /// engine step, watts (0 before the first step).
     pub power_w: f64,
     /// The run's mapping.
     pub mapping: CpuMapping,
@@ -251,7 +251,7 @@ pub struct Simulation {
     board: Board,
     spec: RunSpec,
     config: SimConfig,
-    zone: Option<ThermalZone>,
+    zone: ThermalZone,
 }
 
 impl Simulation {
@@ -261,7 +261,7 @@ impl Simulation {
             board,
             spec,
             config: SimConfig::default(),
-            zone: Some(ThermalZone::stock_xu4()),
+            zone: ThermalZone::stock_xu4(),
         }
     }
 
@@ -273,7 +273,7 @@ impl Simulation {
 
     /// Replaces or disables the reactive thermal zone.
     pub fn with_thermal_zone(mut self, zone: Option<ThermalZone>) -> Self {
-        self.zone = zone;
+        self.zone = zone.unwrap_or_else(ThermalZone::disabled);
         self
     }
 
@@ -283,203 +283,125 @@ impl Simulation {
     }
 
     /// Runs the spec to completion under `manager` and reports.
+    ///
+    /// One job on a [`SocStepper`]: the stepper owns the clock, the
+    /// sample schedule, the zone and the physics; this loop adds the
+    /// manager's control call, the job's progress and the trace.
     pub fn run(&mut self, manager: &mut dyn Manager) -> RunResult {
-        let chars = self.spec.app.characteristics();
-        let items = chars.items as f64;
-        let cpu_items = self.spec.partition.cpu_fraction() * items;
-        let gpu_items = items - cpu_items;
-
-        let dt = self.config.dt_s;
-        let mut t = 0.0_f64;
-        let mut cpu_done_items = 0.0;
-        let mut gpu_done_items = 0.0;
-
-        // Desired (manager-requested) frequencies; the zone caps big.
-        let mut desired = clamp_freqs(&self.board, self.spec.initial);
-        let mut effective = desired;
-
-        // Reusable step buffers: the loop below runs millions of times per
-        // batch sweep and must not allocate on its steady-state path.
-        let mut scratch = StepScratch::for_board(&self.board);
-
-        // Warm start: pre-heat to a fraction of the initial load's steady
-        // state (back-to-back measurement protocol), clamped to a
-        // thermally-managed ceiling — whatever ran before was itself kept
-        // below the trip, so no silicon starts beyond ~80 °C.
-        scratch.temps.fill(70.0);
-        node_powers_into(
-            &self.board,
-            self.spec.mapping,
-            effective,
-            cpu_items > 0.0,
-            gpu_items > 0.0,
-            chars.activity,
-            &scratch.temps,
-            &mut scratch.power,
+        let RunSpec {
+            app,
+            mapping,
+            partition,
+            initial,
+        } = self.spec;
+        let chars = app.characteristics();
+        let activity = chars.activity;
+        let initial = clamp_freqs(&self.board, initial);
+        let mut job = JobState::new(chars, mapping, partition, initial, 0.0);
+        let mut soc = SocStepper::new(self.board.clone(), self.zone, &self.config, initial);
+        soc.warm_start(
+            &[CoRunShare {
+                mapping,
+                cpu_busy: job.cpu_items > 0.0,
+                gpu_busy: job.gpu_items > 0.0,
+                activity,
+            }],
+            initial,
+            self.config.warm_start_fraction,
         );
-        let frac = self.config.warm_start_fraction;
-        for p in &mut scratch.power {
-            *p *= frac;
-        }
-        self.board.thermal.warm_start(&scratch.power);
-        const WARM_START_CEILING_C: f64 = 80.0;
-        for i in 0..self.board.thermal.len() {
-            let t = self.board.thermal.temp(i);
-            self.board.thermal.set_temp(i, t.min(WARM_START_CEILING_C));
-        }
+        soc.readings = soc.read_sensors(mapping, job.cpu_items > 0.0, activity);
 
-        let mut meter = crate::meter::SmartPowerMeter::new();
         let mut trace = Trace::with_channels(TRACE_CHANNELS);
         // Sample-major staging: one contiguous row per sample tick
         // instead of 7 scattered per-channel appends; flushed at
         // capacity and at run end, bit-identical to direct recording.
         let mut stage = teem_telemetry::SampleStage::for_channels(&trace, TRACE_CHANNELS);
-        let mut zone_trips = 0u32;
-        let mut zone_was_tripped = false;
-        let mut next_sample = 0.0_f64;
-        let mut next_control = 0.0_f64;
-        let chars_activity = chars.activity;
-        let mut readings = self.read_sensors_at(effective, cpu_items > 0.0, chars_activity);
         let mut energy_breakdown = (0.0, 0.0, 0.0, 0.0);
         let mut timed_out = false;
-        let mut last_total_w = 0.0_f64;
+        let dt = soc.dt;
 
         loop {
-            let cpu_done = cpu_done_items >= cpu_items;
-            let gpu_done = gpu_done_items >= gpu_items;
-            if cpu_done && gpu_done {
+            if job.done() {
                 break;
             }
-            if t >= self.config.timeout_s {
+            if soc.t >= self.config.timeout_s {
                 timed_out = true;
                 break;
             }
 
-            // --- Sensing (trace cadence) ---
-            if t + 1e-12 >= next_sample {
-                readings =
-                    self.read_sensors_at(effective, cpu_done_items < cpu_items, chars_activity);
+            if soc.sample_due() {
+                soc.sample(mapping, !job.cpu_done(), activity);
                 // One row in TRACE_CHANNELS column order.
                 stage.push(
-                    t,
+                    soc.t,
                     &[
-                        readings.max_c(),
-                        readings.big_max_c(),
-                        readings.gpu_c,
-                        effective.big.0 as f64,
-                        effective.little.0 as f64,
-                        effective.gpu.0 as f64,
-                        last_total_w,
+                        soc.readings.max_c(),
+                        soc.readings.big_max_c(),
+                        soc.readings.gpu_c,
+                        soc.effective.big.0 as f64,
+                        soc.effective.little.0 as f64,
+                        soc.effective.gpu.0 as f64,
+                        soc.last_total_w,
                     ],
                 );
                 if stage.is_full() {
                     trace.flush_stage(&mut stage);
                 }
-                next_sample += self.config.sample_period_s;
             }
 
-            // --- Manager control ---
-            if t + 1e-12 >= next_control {
-                let view = SocView {
-                    time_s: t,
-                    readings,
-                    freqs: effective,
-                    cpu_progress: progress(cpu_done_items, cpu_items),
-                    gpu_progress: progress(gpu_done_items, gpu_items),
-                    big_util: if cpu_done || self.spec.mapping.big == 0 {
-                        0.05
-                    } else {
-                        1.0
-                    },
-                    power_w: meter.power_samples().last().map(|s| s.v).unwrap_or(0.0),
-                    mapping: self.spec.mapping,
-                    partition: self.spec.partition,
-                };
-                let mut ctl = SocControl::default();
-                manager.control(&view, &mut ctl);
-                if let Some(f) = ctl.big {
-                    desired.big = self.board.big_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.little {
-                    desired.little = self.board.little_opps.at_or_below(f).freq;
-                }
-                if let Some(f) = ctl.gpu {
-                    desired.gpu = self.board.gpu_opps.at_or_below(f).freq;
-                }
-                next_control += manager.period_s();
+            soc.control(&mut job, manager);
+            soc.actuate(job.desired);
+
+            // Progress. The step's power sees the busy flags from
+            // before it, so a share finishing now still draws busy
+            // power for this step.
+            let share = CoRunShare {
+                mapping,
+                cpu_busy: !job.cpu_done(),
+                gpu_busy: !job.gpu_done(),
+                activity,
+            };
+            if share.cpu_busy && !mapping.is_empty() {
+                job.cpu_done_items +=
+                    cpu_rate(&chars, mapping, soc.effective.big, soc.effective.little) * dt;
+            }
+            if share.gpu_busy {
+                job.gpu_done_items += gpu_rate(&chars, soc.effective.gpu) * dt;
             }
 
-            // --- Reactive thermal zone (kernel layer) ---
-            effective = desired;
-            if let Some(zone) = &mut self.zone {
-                if let Some(cap) = zone.update(t, readings.max_c()) {
-                    if effective.big > cap {
-                        effective.big = self.board.big_opps.at_or_below(cap).freq;
-                    }
-                }
-                if zone.is_tripped() && !zone_was_tripped {
-                    zone_trips += 1;
-                }
-                zone_was_tripped = zone.is_tripped();
-            }
-
-            // --- Workload progress ---
-            if !cpu_done && !self.spec.mapping.is_empty() {
-                cpu_done_items +=
-                    cpu_rate(&chars, self.spec.mapping, effective.big, effective.little) * dt;
-            }
-            if !gpu_done {
-                gpu_done_items += gpu_rate(&chars, effective.gpu) * dt;
-            }
-
-            // --- Power & thermal (in place: temps borrowed, power into
-            //     the reusable scratch, no per-step allocation) ---
-            node_powers_into(
-                &self.board,
-                self.spec.mapping,
-                effective,
-                !cpu_done,
-                !gpu_done,
-                chars.activity,
-                self.board.thermal.temps(),
-                &mut scratch.power,
-            );
-            let p = &scratch.power;
-            energy_breakdown.0 += p[self.board.nodes.big] * dt;
-            energy_breakdown.1 += p[self.board.nodes.little] * dt;
-            energy_breakdown.2 += p[self.board.nodes.gpu] * dt;
-            energy_breakdown.3 += p[self.board.nodes.board] * dt;
-            let total: f64 = p.iter().sum();
-            meter.observe(t, dt, total);
-            last_total_w = total;
-            self.board.thermal.step(dt, &scratch.power);
-
-            t += dt;
+            soc.advance(&[share], false);
+            let p = &soc.scratch.power;
+            let nodes = soc.board.nodes;
+            energy_breakdown.0 += p[nodes.big] * dt;
+            energy_breakdown.1 += p[nodes.little] * dt;
+            energy_breakdown.2 += p[nodes.gpu] * dt;
+            energy_breakdown.3 += p[nodes.board] * dt;
         }
 
         // Final sensor sample closes the trace. The stage must drain
         // first: the closing records target staged channels, and a
         // direct push ahead of buffered rows would run time backwards.
         trace.flush_stage(&mut stage);
-        let final_readings = self.read_sensors_at(effective, false, chars_activity);
-        trace.record("temp.max", t, final_readings.max_c());
-        trace.record("freq.big", t, effective.big.0 as f64);
+        let closing = soc.read_sensors(mapping, false, activity);
+        trace.record("temp.max", soc.t, closing.max_c());
+        trace.record("freq.big", soc.t, soc.effective.big.0 as f64);
 
-        let temp_stats = trace
-            .stats("temp.max")
-            .unwrap_or_else(|| SeriesStats::of(&single(t)).expect("one"));
+        let temp_stats = trace.stats("temp.max").expect("temp.max always recorded");
         let freq_stats = trace.stats("freq.big").expect("freq.big always recorded");
 
         let summary = RunSummary {
-            app: self.spec.app.full_name().to_string(),
+            app: app.full_name().to_string(),
             approach: manager.name().to_string(),
-            execution_time_s: t,
-            energy_j: meter.energy_j(),
+            execution_time_s: soc.t,
+            energy_j: soc.energy_j,
             avg_temp_c: temp_stats.mean(),
             peak_temp_c: temp_stats.max(),
             temp_variance: temp_stats.variance(),
             avg_big_freq_mhz: freq_stats.mean(),
         };
+        let zone_trips = soc.zone_trips;
+        self.board = soc.board;
+        self.zone = soc.zone;
         RunResult {
             summary,
             trace,
@@ -487,23 +409,6 @@ impl Simulation {
             timed_out,
             energy_breakdown_j: energy_breakdown,
         }
-    }
-
-    /// Reads the sensor bank including per-core hotspot contributions for
-    /// the currently-active big cores.
-    fn read_sensors_at(
-        &mut self,
-        freqs: ClusterFreqs,
-        cpu_busy: bool,
-        activity: f64,
-    ) -> SensorReadings {
-        read_sensors_for(
-            &mut self.board,
-            self.spec.mapping,
-            freqs,
-            cpu_busy,
-            activity,
-        )
     }
 }
 
@@ -519,14 +424,352 @@ const TRACE_CHANNELS: &[&str] = &[
     "power.total",
 ];
 
+/// The engines' one firing predicate for a float deadline on the step
+/// grid: a sample or control deadline fires on the first tick at (or
+/// within 1e-12 s before) it.
+#[inline]
+pub fn deadline_due(t: f64, deadline: f64) -> bool {
+    t + 1e-12 >= deadline
+}
+
+/// One application's work and control state on the board: its CPU/GPU
+/// work split and progress, its manager's latest (OPP-quantised)
+/// frequency requests and its next control deadline.
+///
+/// A single run drives one; the scenario executor drives one per
+/// active app.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobState {
+    /// The application's simulator characteristics.
+    pub chars: KernelCharacteristics,
+    /// CPU cores the job runs its CPU share on.
+    pub mapping: CpuMapping,
+    /// Work-item split between CPU and GPU.
+    pub partition: Partition,
+    /// Work items in the CPU share.
+    pub cpu_items: f64,
+    /// Work items in the GPU share.
+    pub gpu_items: f64,
+    /// CPU work items completed.
+    pub cpu_done_items: f64,
+    /// GPU work items completed.
+    pub gpu_done_items: f64,
+    /// The manager's latest frequency requests, clamped to the OPPs.
+    pub desired: ClusterFreqs,
+    /// Simulated time of the next manager control call, seconds.
+    pub next_control: f64,
+}
+
+impl JobState {
+    /// A job launched at time `t` with nothing done yet: its manager is
+    /// due immediately and requests `desired` until it says otherwise.
+    pub fn new(
+        chars: KernelCharacteristics,
+        mapping: CpuMapping,
+        partition: Partition,
+        desired: ClusterFreqs,
+        t: f64,
+    ) -> Self {
+        let items = chars.items as f64;
+        let cpu_items = partition.cpu_fraction() * items;
+        JobState {
+            chars,
+            mapping,
+            partition,
+            cpu_items,
+            gpu_items: items - cpu_items,
+            cpu_done_items: 0.0,
+            gpu_done_items: 0.0,
+            desired,
+            next_control: t,
+        }
+    }
+
+    /// `true` once the CPU share is complete (or empty).
+    #[inline]
+    pub fn cpu_done(&self) -> bool {
+        self.cpu_done_items >= self.cpu_items
+    }
+
+    /// `true` once the GPU share is complete (or empty).
+    #[inline]
+    pub fn gpu_done(&self) -> bool {
+        self.gpu_done_items >= self.gpu_items
+    }
+
+    /// `true` once both shares are complete.
+    #[inline]
+    pub fn done(&self) -> bool {
+        self.cpu_done() && self.gpu_done()
+    }
+}
+
+/// The board-level half of an engine step, shared by [`Simulation`] and
+/// the scenario executor: it owns the board, the reactive thermal zone,
+/// the index-derived clock, the sample schedule, the effective
+/// frequencies, the latest sensor readings and the step buffers.
+///
+/// A caller's step is, in order: [`SocStepper::sample`] when
+/// [`SocStepper::sample_due`], [`SocStepper::control`] for each of its
+/// jobs, [`SocStepper::actuate`] with the requests it arbitrates, its
+/// own progress update, then [`SocStepper::advance`] (power, energy,
+/// thermal step, counters, clock). The fields are public so the
+/// scenario executor's event-driven gaps and its lockstep pool can
+/// suspend, mirror and restore the state at step boundaries.
+#[derive(Debug, Clone)]
+pub struct SocStepper {
+    /// The simulated board (thermal state and sensor noise stream).
+    pub board: Board,
+    /// The reactive thermal zone under every manager.
+    pub zone: ThermalZone,
+    /// Whether the zone was hard-tripped at the previous poll.
+    pub zone_was_tripped: bool,
+    /// Zone trips so far (rising edges into the tripped state).
+    pub zone_trips: u32,
+    /// Integration step, seconds.
+    pub dt: f64,
+    /// Sample period, seconds.
+    pub sample_period_s: f64,
+    /// Steps taken. The clock is derived from it (`t = step_idx · dt`),
+    /// never accumulated, so long runs cannot smear their timestamps
+    /// with float-accumulation drift.
+    pub step_idx: u64,
+    /// Simulated time, seconds: `step_idx as f64 * dt`.
+    pub t: f64,
+    /// Time of the next due sample, seconds.
+    pub next_sample: f64,
+    /// The cluster frequencies in force (requests after the zone cap).
+    pub effective: ClusterFreqs,
+    /// The latest sensor sample (zeros until the caller's first read).
+    pub readings: SensorReadings,
+    /// Reusable power/temperature buffers and step observability.
+    pub scratch: StepScratch,
+    /// Energy drawn so far, joules: Σ total power · `dt` over the steps
+    /// (plus whatever a caller adds for skipped gaps).
+    pub energy_j: f64,
+    /// Total board power over the last step, watts (0 before the first).
+    pub last_total_w: f64,
+}
+
+impl SocStepper {
+    /// A stepper at `t = 0` on `board` with `effective` in force and
+    /// `zone` armed, taking its step and sample period from `config`.
+    pub fn new(
+        board: Board,
+        zone: ThermalZone,
+        config: &SimConfig,
+        effective: ClusterFreqs,
+    ) -> Self {
+        let scratch = StepScratch::for_board(&board);
+        SocStepper {
+            board,
+            zone,
+            zone_was_tripped: false,
+            zone_trips: 0,
+            dt: config.dt_s,
+            sample_period_s: config.sample_period_s,
+            step_idx: 0,
+            t: 0.0,
+            next_sample: 0.0,
+            effective,
+            readings: SensorReadings {
+                big_core_c: [0.0; 4],
+                gpu_c: 0.0,
+            },
+            scratch,
+            energy_j: 0.0,
+            last_total_w: 0.0,
+        }
+    }
+
+    /// Pre-heats the board (the paper's back-to-back measurement
+    /// protocol): every node starts at the steady state of `fraction` ×
+    /// the power `shares` draw at `freqs` with the silicon at 70 °C,
+    /// capped at an 80 °C thermally-managed ceiling — whatever ran
+    /// before was itself kept below the trip — and floored at ambient.
+    /// No shares pre-heats toward the idle floor at `freqs`.
+    pub fn warm_start(&mut self, shares: &[CoRunShare], freqs: ClusterFreqs, fraction: f64) {
+        const WARM_START_C: f64 = 70.0;
+        const WARM_START_CEILING_C: f64 = 80.0;
+        self.scratch.temps.fill(WARM_START_C);
+        co_run_node_powers_into(
+            &self.board,
+            shares,
+            freqs,
+            &self.scratch.temps,
+            &mut self.scratch.power,
+        );
+        for p in &mut self.scratch.power {
+            *p *= fraction;
+        }
+        let thermal = &mut self.board.thermal;
+        thermal.warm_start(&self.scratch.power);
+        let ambient = thermal.ambient_c();
+        for i in 0..thermal.len() {
+            let t = thermal.temp(i);
+            thermal.set_temp(i, t.min(WARM_START_CEILING_C).max(ambient));
+        }
+    }
+
+    /// Reads the sensor bank at the effective frequencies, with the
+    /// per-core hotspots of `mapping`'s active big cores
+    /// ([`big_core_hotspot_powers`]); the sample schedule is untouched.
+    /// TMU-style banks advance their deterministic noise stream.
+    pub fn read_sensors(
+        &mut self,
+        mapping: CpuMapping,
+        cpu_busy: bool,
+        activity: f64,
+    ) -> SensorReadings {
+        let board = &mut self.board;
+        let big_c = board.thermal.temp(board.nodes.big);
+        let gpu_c = board.thermal.temp(board.nodes.gpu);
+        let core_power =
+            big_core_hotspot_powers(board, big_c, mapping, self.effective, cpu_busy, activity);
+        board.sensors.read_with_hotspots(big_c, &core_power, gpu_c)
+    }
+
+    /// `true` when a sample is due at the current tick.
+    #[inline]
+    pub fn sample_due(&self) -> bool {
+        deadline_due(self.t, self.next_sample)
+    }
+
+    /// Takes the due sample: reads the sensor bank (timed as the sample
+    /// phase) and [accepts](SocStepper::accept_sample) the reading.
+    pub fn sample(&mut self, mapping: CpuMapping, cpu_busy: bool, activity: f64) {
+        let obs_t0 = self.scratch.obs.clock();
+        let readings = self.read_sensors(mapping, cpu_busy, activity);
+        self.scratch.obs.lap_sample(obs_t0);
+        self.accept_sample(readings);
+    }
+
+    /// Stores `readings` as this tick's sample and advances the sample
+    /// schedule one period — for readings taken elsewhere (the lockstep
+    /// pool's batched sensor sweep).
+    pub fn accept_sample(&mut self, readings: SensorReadings) {
+        self.readings = readings;
+        self.next_sample += self.sample_period_s;
+    }
+
+    /// Realigns the sample schedule after a clock jump: skips every
+    /// sample tick the jump passed over, and the sensor-noise draws
+    /// those reads would have taken, so the noise stream stays aligned
+    /// with a stepped run.
+    pub fn skip_missed_samples(&mut self) {
+        if self.next_sample < self.t - 1e-12 {
+            let n = ((self.t - 1e-12 - self.next_sample) / self.sample_period_s).floor() as u64 + 1;
+            self.board.sensors.skip_reads(n);
+            self.next_sample += n as f64 * self.sample_period_s;
+        }
+    }
+
+    /// The control phase for one job: when its deadline is due, shows
+    /// `manager` the board, quantises its requests onto the OPP tables
+    /// into `job.desired` and schedules the next call one
+    /// [`Manager::period_s`] later.
+    pub fn control(&self, job: &mut JobState, manager: &mut dyn Manager) {
+        if !deadline_due(self.t, job.next_control) {
+            return;
+        }
+        let view = SocView {
+            time_s: self.t,
+            readings: self.readings,
+            freqs: self.effective,
+            cpu_progress: progress(job.cpu_done_items, job.cpu_items),
+            gpu_progress: progress(job.gpu_done_items, job.gpu_items),
+            big_util: if job.cpu_done() || job.mapping.big == 0 {
+                0.05
+            } else {
+                1.0
+            },
+            power_w: self.last_total_w,
+            mapping: job.mapping,
+            partition: job.partition,
+        };
+        let mut ctl = SocControl::default();
+        manager.control(&view, &mut ctl);
+        if let Some(f) = ctl.big {
+            job.desired.big = self.board.big_opps.at_or_below(f).freq;
+        }
+        if let Some(f) = ctl.little {
+            job.desired.little = self.board.little_opps.at_or_below(f).freq;
+        }
+        if let Some(f) = ctl.gpu {
+            job.desired.gpu = self.board.gpu_opps.at_or_below(f).freq;
+        }
+        job.next_control += manager.period_s();
+    }
+
+    /// The actuation phase: puts `requested` in force, polls the zone
+    /// with the latest reading and applies its cap to the big cluster.
+    pub fn actuate(&mut self, requested: ClusterFreqs) {
+        self.actuate_at(requested, self.readings.max_c());
+    }
+
+    /// [`SocStepper::actuate`] with the zone polled at `max_temp_c`
+    /// instead of the latest reading (an idle gap's noise-free
+    /// estimate). Counts a trip on each rising edge.
+    pub fn actuate_at(&mut self, requested: ClusterFreqs, max_temp_c: f64) {
+        self.effective = requested;
+        if let Some(cap) = self.zone.update(self.t, max_temp_c) {
+            if self.effective.big > cap {
+                self.effective.big = self.board.big_opps.at_or_below(cap).freq;
+            }
+        }
+        if self.zone.is_tripped() && !self.zone_was_tripped {
+            self.zone_trips += 1;
+        }
+        self.zone_was_tripped = self.zone.is_tripped();
+    }
+
+    /// Power, energy, thermal step, counters and clock for one step:
+    /// the node power of `shares` running at the effective frequencies
+    /// (the idle floor for no shares, the power-collapsed floor when
+    /// `collapsed`), charged for `dt` and integrated. Returns the step's
+    /// total power, watts.
+    pub fn advance(&mut self, shares: &[CoRunShare], collapsed: bool) -> f64 {
+        let obs_t0 = self.scratch.obs.clock();
+        let temps = self.board.thermal.temps();
+        if collapsed {
+            collapsed_node_powers_into(&self.board, temps, &mut self.scratch.power);
+        } else {
+            co_run_node_powers_into(
+                &self.board,
+                shares,
+                self.effective,
+                temps,
+                &mut self.scratch.power,
+            );
+        }
+        self.scratch.obs.lap_power(obs_t0);
+        let total: f64 = self.scratch.power.iter().sum();
+        self.energy_j += total * self.dt;
+        self.last_total_w = total;
+        let obs_t0 = self.scratch.obs.clock();
+        let substeps = self.board.thermal.step(self.dt, &self.scratch.power);
+        self.scratch.obs.lap_thermal(obs_t0);
+        self.scratch.obs.steps += 1;
+        self.scratch.obs.substeps += u64::from(substeps);
+        self.jump_to(self.step_idx + 1);
+        total
+    }
+
+    /// Moves the clock to tick `step_idx` (a caller that fast-forwarded
+    /// the board across a gap in closed form).
+    pub fn jump_to(&mut self, step_idx: u64) {
+        self.step_idx = step_idx;
+        self.t = step_idx as f64 * self.dt;
+    }
+}
+
 /// Reusable per-step physics buffers: the node power vector the engines
 /// rebuild every integration step, plus a general node-temperature
 /// buffer for warm-start style evaluations at an assumed uniform
 /// temperature.
 ///
-/// Both [`Simulation`] and the scenario executor drive their step loops
-/// through one `StepScratch`, so the steady-state simulation path
-/// allocates nothing per step. (Sensor readings need no buffer —
+/// Every [`SocStepper`] steps through one `StepScratch`, so the
+/// steady-state simulation path allocates nothing per step. (Sensor readings need no buffer —
 /// [`SensorReadings`] is a plain `Copy` value.)
 #[derive(Debug, Clone, Default)]
 pub struct StepScratch {
@@ -602,14 +845,6 @@ pub struct StepObs {
 }
 
 impl StepObs {
-    /// An enabled (timing-on) accumulator.
-    pub fn enabled() -> Self {
-        StepObs {
-            enabled: true,
-            ..StepObs::default()
-        }
-    }
-
     /// Starts a phase clock — `None` (and no syscall) unless enabled.
     #[inline]
     pub fn clock(&self) -> Option<std::time::Instant> {
@@ -623,51 +858,31 @@ impl StepObs {
     /// Banks a power-model phase started at `t0`.
     #[inline]
     pub fn lap_power(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.power_ns = self
-                .power_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        bank(&mut self.power_ns, t0);
     }
 
     /// Banks a thermal-integration phase started at `t0`.
     #[inline]
     pub fn lap_thermal(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.thermal_ns = self
-                .thermal_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        bank(&mut self.thermal_ns, t0);
     }
 
     /// Banks a sensor-sampling phase started at `t0`.
     #[inline]
     pub fn lap_sample(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.sample_ns = self
-                .sample_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        bank(&mut self.sample_ns, t0);
     }
 
     /// Banks a trace-recording phase started at `t0`.
     #[inline]
     pub fn lap_trace(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.trace_ns = self
-                .trace_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        bank(&mut self.trace_ns, t0);
     }
 
     /// Banks a control/actuation phase started at `t0`.
     #[inline]
     pub fn lap_control(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.control_ns = self
-                .control_ns
-                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        bank(&mut self.control_ns, t0);
     }
 
     /// Folds another accumulator's counts and times into this one
@@ -689,6 +904,15 @@ impl StepObs {
     }
 }
 
+/// Adds the nanoseconds elapsed since `t0` to `acc` (saturating); a
+/// `None` start (timing disabled) banks nothing.
+#[inline]
+fn bank(acc: &mut u64, t0: Option<std::time::Instant>) {
+    if let Some(t0) = t0 {
+        *acc = acc.saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
+}
+
 /// Writes the node power vector for `board` into `out`, with an
 /// application mapped on `mapping` at frequencies `freqs` and per-node
 /// silicon temperatures `temps` (indexed as [`Board::nodes`]).
@@ -697,10 +921,10 @@ impl StepObs {
 /// ([`KernelCharacteristics::activity`](teem_workload::KernelCharacteristics)).
 ///
 /// This is the single power model shared by [`Simulation`] and the
-/// scenario engine, so multi-app scenario physics stays bit-identical to
-/// single-run physics. The engines call it with a [`StepScratch`] buffer
-/// every step; [`node_powers_for`] is the allocating convenience wrapper
-/// for one-off evaluations and A/B tests.
+/// scenario engine (through [`co_run_node_powers_into`], which delegates
+/// here for one app), so multi-app scenario physics stays bit-identical
+/// to single-run physics. The engines call it with a [`StepScratch`]
+/// buffer every step.
 ///
 /// # Panics
 ///
@@ -778,29 +1002,6 @@ pub fn node_powers_into(
     );
 
     out[board.nodes.board] = board.board_base_w;
-}
-
-/// Allocating wrapper around [`node_powers_into`] for one-off
-/// evaluations (warm starts, calibration, tests). Step loops use the
-/// in-place variant with a [`StepScratch`].
-///
-/// # Panics
-///
-/// Panics if `temps.len() != board.thermal.len()`.
-pub fn node_powers_for(
-    board: &Board,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    gpu_busy: bool,
-    activity: f64,
-    temps: &[f64],
-) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    node_powers_into(
-        board, mapping, freqs, cpu_busy, gpu_busy, activity, temps, &mut p,
-    );
-    p
 }
 
 /// Writes the node power vector for an idle board (no application
@@ -1093,18 +1294,6 @@ pub fn collapsed_node_powers_into(board: &Board, temps: &[f64], out: &mut [f64])
     out[board.nodes.board] = board.board_base_w;
 }
 
-/// Allocating wrapper around [`collapsed_node_powers_into`] for one-off
-/// evaluations and tests.
-///
-/// # Panics
-///
-/// Panics if `temps.len() != board.thermal.len()`.
-pub fn collapsed_node_powers(board: &Board, temps: &[f64]) -> Vec<f64> {
-    let mut p = vec![0.0; board.thermal.len()];
-    collapsed_node_powers_into(board, temps, &mut p);
-    p
-}
-
 /// What [`fast_forward_gap`] dissipates during the span it advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapPower {
@@ -1234,59 +1423,7 @@ pub fn fast_forward_gap(
     adv
 }
 
-/// Advances a whole [`ThermalBatch`](crate::ThermalBatch) by one engine
-/// step — the batched twin of the per-step
-/// `board.thermal.step(dt, &scratch.power)` call, taking the SoA power
-/// vector from a [`BatchScratch`](crate::BatchScratch). Returns the
-/// Euler sub-step count (shared by all lanes).
-///
-/// # Panics
-///
-/// Panics if `scratch` is not sized for `batch` or `dt < 0`.
-pub fn batched_thermal_step(
-    batch: &mut crate::ThermalBatch,
-    dt: f64,
-    scratch: &crate::BatchScratch,
-) -> u32 {
-    batch.step(dt, &scratch.power)
-}
-
-/// Reads the sensor bank including per-core hotspot contributions for
-/// the big cores active under `mapping` — shared by [`Simulation`] and
-/// the scenario engine (`&mut` because TMU-style banks advance their
-/// deterministic noise stream).
-pub fn read_sensors_for(
-    board: &mut Board,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    activity: f64,
-) -> SensorReadings {
-    let big = board.thermal.temp(board.nodes.big);
-    let gpu = board.thermal.temp(board.nodes.gpu);
-    read_sensors_at_temps(board, big, gpu, mapping, freqs, cpu_busy, activity)
-}
-
-/// [`read_sensors_for`] with the big/GPU silicon temperatures supplied
-/// by the caller instead of read from `board.thermal` — the lockstep
-/// pool samples straight from its SoA [`ThermalBatch`](crate::ThermalBatch)
-/// lanes without copying temperatures back into the board first. Same
-/// hotspot model, same sensor noise stream advance, bit-identical
-/// readings for identical inputs.
-pub fn read_sensors_at_temps(
-    board: &mut Board,
-    big_c: f64,
-    gpu_c: f64,
-    mapping: CpuMapping,
-    freqs: ClusterFreqs,
-    cpu_busy: bool,
-    activity: f64,
-) -> SensorReadings {
-    let core_power = big_core_hotspot_powers(board, big_c, mapping, freqs, cpu_busy, activity);
-    board.sensors.read_with_hotspots(big_c, &core_power, gpu_c)
-}
-
-/// The per-core hotspot powers [`read_sensors_at_temps`] feeds the
+/// The per-core hotspot powers [`SocStepper::read_sensors`] feeds the
 /// sensor bank: each of the `mapping.big` active big cores draws one
 /// core's dynamic power plus an even split of the cluster leakage at
 /// `big_c`. Exposed so the lockstep pool can queue lanes into a
@@ -1400,10 +1537,6 @@ fn progress(done: f64, total: f64) -> f64 {
     }
 }
 
-fn single(t: f64) -> teem_telemetry::TimeSeries {
-    teem_telemetry::TimeSeries::from_pairs(&[(t, 0.0)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1466,7 +1599,7 @@ mod tests {
         assert!(r.summary.peak_temp_c > 70.0);
         assert_eq!(r.summary.approach, "pin-max");
         assert_eq!(r.summary.app, "COVARIANCE");
-        // Energy breakdown sums to the meter's total.
+        // Energy breakdown sums to the run's total.
         let (b, l, g, bo) = r.energy_breakdown_j;
         assert!((b + l + g + bo - r.summary.energy_j).abs() < 1.0);
     }
@@ -1563,7 +1696,8 @@ mod tests {
         };
         let temps = vec![70.0; board.thermal.len()];
         let chars = App::Covariance.characteristics();
-        let busy = node_powers_for(
+        let mut busy = vec![0.0; board.thermal.len()];
+        node_powers_into(
             &board,
             CpuMapping::new(2, 3),
             freqs,
@@ -1571,6 +1705,7 @@ mod tests {
             true,
             chars.activity,
             &temps,
+            &mut busy,
         );
         let idle = idle_node_powers(&board, ClusterFreqs::min_of(&board), &temps);
         assert_eq!(busy.len(), board.thermal.len());
@@ -1751,7 +1886,8 @@ mod tests {
         let board = Board::odroid_xu4_ideal();
         let temps = vec![40.0; board.thermal.len()];
         let idle = idle_node_powers(&board, ClusterFreqs::min_of(&board), &temps);
-        let collapsed = collapsed_node_powers(&board, &temps);
+        let mut collapsed = vec![0.0; board.thermal.len()];
+        collapsed_node_powers_into(&board, &temps, &mut collapsed);
         let (pi, pc): (f64, f64) = (idle.iter().sum(), collapsed.iter().sum());
         assert!(pc < pi, "collapse must save power: {pc} vs {pi}");
         // Board overhead survives the collapse. The big cluster is
@@ -1841,6 +1977,64 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Records `view.power_w` at every control call.
+    struct PowerProbe(Vec<(f64, f64)>);
+
+    impl Manager for PowerProbe {
+        fn name(&self) -> &str {
+            "power-probe"
+        }
+
+        fn control(&mut self, view: &SocView, _ctl: &mut SocControl) {
+            self.0.push((view.time_s, view.power_w));
+        }
+    }
+
+    /// A manager sees the draw the trace records at the same instant —
+    /// the last step's total, from the first control tick on.
+    #[test]
+    fn view_power_is_the_last_step_total() {
+        let mut probe = PowerProbe(Vec::new());
+        let r = Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).run(&mut probe);
+        let recorded = r
+            .trace
+            .channel("power.total")
+            .expect("power.total recorded");
+        let mut matched = 0;
+        for &(t, w) in &probe.0 {
+            if let Some(s) = recorded.iter().find(|s| s.t == t) {
+                assert_eq!(w.to_bits(), s.v.to_bits(), "power_w at t = {t}");
+                matched += 1;
+            }
+        }
+        assert!(
+            matched > 100,
+            "only {matched} control ticks matched a sample"
+        );
+        assert!(probe.0.iter().skip(1).all(|&(_, w)| w > 0.0));
+    }
+
+    /// Every timestamp a single run records, and its execution time, sit
+    /// exactly on the step grid `k · dt` — the clock is derived from the
+    /// step index, not accumulated.
+    #[test]
+    fn single_run_clock_is_index_derived() {
+        let dt = SimConfig::default().dt_s;
+        let on_grid = |t: f64| (t / dt).round() * dt == t;
+        let r = Simulation::new(Board::odroid_xu4_ideal(), cv_spec()).run(&mut PinBig(MHz(1400)));
+        assert!(
+            on_grid(r.summary.execution_time_s),
+            "{}",
+            r.summary.execution_time_s
+        );
+        for name in TRACE_CHANNELS {
+            let series = r.trace.channel(name).expect("channel recorded");
+            for s in series.iter() {
+                assert!(on_grid(s.t), "{name} sample at {} is off the grid", s.t);
             }
         }
     }

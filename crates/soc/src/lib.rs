@@ -14,13 +14,12 @@
 //! * a lumped RC thermal network with per-core TMU-style sensors and a
 //!   hottest big core, as the paper observes on core-6 ([`thermal`],
 //!   [`sensors`]);
-//! * an Odroid Smart Power 2-style wall meter sampling at 1 Hz
-//!   ([`meter`]);
 //! * the kernel's reactive trip-point throttling (95 °C → 900 MHz)
 //!   underneath every manager ([`ThermalZone`]);
 //! * the timing model of the paper's equation (3) ([`perf`]) and a
 //!   time-stepped engine that runs an application under a pluggable
-//!   [`Manager`] and emits traces and run summaries.
+//!   [`Manager`] and emits traces and run summaries. Single runs and the
+//!   scenario executor step the board through one [`SocStepper`].
 //!
 //! # Examples
 //!
@@ -59,7 +58,6 @@ mod board;
 mod engine;
 pub mod fastexp;
 pub mod freq;
-pub mod meter;
 pub mod perf;
 pub mod power;
 pub mod sensors;
@@ -67,18 +65,14 @@ pub mod simd;
 pub mod thermal;
 mod thermal_zone;
 
-pub use batch::{
-    batched_node_powers_into, BatchPowerModel, BatchScratch, NodePowerCoeffs, NodePowerModel,
-    ThermalBatch,
-};
+pub use batch::{BatchPowerModel, BatchScratch, NodePowerCoeffs, NodePowerModel, ThermalBatch};
 pub use board::{Board, BoardSpec, ThermalNodes};
 pub use engine::{
-    batched_thermal_step, big_core_hotspot_powers, clamp_freqs, co_run_dynamic_weights,
-    co_run_node_powers_into, collapsed_node_powers, collapsed_node_powers_into, fast_forward_gap,
-    idle_node_powers, idle_node_powers_into, node_powers_for, node_powers_into,
-    read_sensors_at_temps, read_sensors_for, ClusterFreqs, CoRunShare, GapAdvance, GapPower,
-    HotspotSplit, IdlePolicy, Manager, RunResult, RunSpec, SimConfig, Simulation, SocControl,
-    SocView, StepObs, StepScratch, TimeAdvance, GAP_SEGMENT_DELTA_C,
+    big_core_hotspot_powers, clamp_freqs, co_run_dynamic_weights, co_run_node_powers_into,
+    collapsed_node_powers_into, deadline_due, fast_forward_gap, idle_node_powers,
+    idle_node_powers_into, node_powers_into, ClusterFreqs, CoRunShare, GapAdvance, GapPower,
+    HotspotSplit, IdlePolicy, JobState, Manager, RunResult, RunSpec, SimConfig, Simulation,
+    SocControl, SocStepper, SocView, StepObs, StepScratch, TimeAdvance, GAP_SEGMENT_DELTA_C,
 };
 pub use fastexp::{exp_exact, exp_exact4, exp_exact_block};
 pub use freq::{MHz, Opp, OppTable};

@@ -55,6 +55,15 @@ impl ThermalZone {
         ThermalZone::new(95.0, 7.5, MHz(900), MHz(2000), 100, 2.5)
     }
 
+    /// A zone that never trips — what a run with the reactive layer
+    /// disabled arms.
+    pub fn disabled() -> Self {
+        ThermalZone {
+            trip_c: f64::INFINITY,
+            ..ThermalZone::stock_xu4()
+        }
+    }
+
     /// Creates a zone.
     ///
     /// # Panics
