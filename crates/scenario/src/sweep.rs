@@ -1886,6 +1886,42 @@ mod tests {
     }
 
     #[test]
+    fn matrix_is_scenario_major_and_complete() {
+        let scenarios = vec![
+            Scenario::new("a").arrive(0.0, App::Mvt, 0.9),
+            Scenario::new("b").arrive(0.0, App::Syrk, 0.9),
+        ];
+        let results = SweepSpec::over(scenarios)
+            .approaches(&[Approach::Teem, Approach::Ondemand])
+            .run_collect()
+            .expect("profiles fit");
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].summary.scenario, "a");
+        assert_eq!(results[0].summary.approach, "TEEM");
+        assert_eq!(results[1].summary.scenario, "a");
+        assert_eq!(results[1].summary.approach, "ondemand");
+        assert_eq!(results[2].summary.scenario, "b");
+        assert_eq!(results[3].summary.scenario, "b");
+        for r in &results {
+            assert_eq!(r.summary.apps_completed(), 1);
+            assert!(!r.timed_out);
+        }
+    }
+
+    #[test]
+    fn parallel_equals_sequential() {
+        let spec = SweepSpec::over([Scenario::new("a")
+            .arrive(0.0, App::Mvt, 0.9)
+            .arrive(1.0, App::Gesummv, 0.9)])
+        .approaches(&[Approach::Teem, Approach::Eemp]);
+        let par = spec.clone().threads(4).run_collect().expect("runs");
+        let seq = spec.threads(1).run_collect().expect("runs");
+        let par: Vec<_> = par.into_iter().map(|r| r.summary).collect();
+        let seq: Vec<_> = seq.into_iter().map(|r| r.summary).collect();
+        assert_eq!(par, seq);
+    }
+
+    #[test]
     fn panicking_cell_fails_alone_and_the_rest_drain() {
         // A per-app threshold override far outside the plausible range
         // panics inside the worker (UserRequirement's validation) — the
