@@ -52,7 +52,7 @@ fn usage() -> ! {
          teem-coordinator single --grid <small|acceptance> [--journal PATH]\n  \
          teem-coordinator merge JOURNAL... [--out PATH]\n  \
          teem-coordinator worker --grid G --journal PATH --shard LABEL [--part J/M] \
-         [--exclude PATH]... [--fsync-every N] [--die-after K] [--hang-after K]"
+         [--exclude PATH]... [--die-after K] [--hang-after K]"
     );
     std::process::exit(2);
 }
@@ -231,10 +231,6 @@ fn worker(mut args: Args) -> ! {
         .into_iter()
         .map(PathBuf::from)
         .collect();
-    let fsync_every = args
-        .flag_value("--fsync-every")
-        .map(|v| parse_usize(&v, "--fsync-every"))
-        .unwrap_or(1);
     let die_after = args
         .flag_value("--die-after")
         .map(|v| parse_usize(&v, "--die-after"));
@@ -252,8 +248,7 @@ fn worker(mut args: Args) -> ! {
         .apply(spec)
         .unwrap_or_else(|e| fail(format!("assignment does not apply: {e}")));
     let mut journal = SweepJournal::create(&journal_path, &restricted)
-        .unwrap_or_else(|e| fail(format!("cannot create journal: {e}")))
-        .with_fsync_every(fsync_every);
+        .unwrap_or_else(|e| fail(format!("cannot create journal: {e}")));
 
     let mut done = 0usize;
     let (_, report) = restricted
@@ -339,9 +334,7 @@ fn run(mut args: Args) -> ! {
             .arg("--journal")
             .arg(journal)
             .arg("--shard")
-            .arg(assignment.shard.to_string())
-            .arg("--fsync-every")
-            .arg("1");
+            .arg(assignment.shard.to_string());
         if let Some((j, m)) = assignment.part {
             cmd.arg("--part").arg(format!("{j}/{m}"));
         }

@@ -152,3 +152,74 @@ fn campaign_with_a_worker_killed_mid_shard_still_matches_single_process_digest()
         "a dead worker writes no metrics sidecar"
     );
 }
+
+/// Counts the `done` records in a journal file.
+fn done_lines(path: &Path) -> usize {
+    std::fs::read_to_string(path)
+        .expect("journal readable")
+        .lines()
+        .filter(|l| l.starts_with("{\"kind\":\"done\""))
+        .count()
+}
+
+/// Kill coverage under the workers' batched fsync: wherever the kill
+/// lands relative to a sync boundary, the dead worker's journal holds
+/// exactly the R records it wrote, and the merge still equals the
+/// single-process run.
+#[test]
+fn a_killed_worker_keeps_exactly_the_records_it_wrote() {
+    let single = run_ok(coordinator().args(["single", "--grid", "small"]));
+    for records in [1usize, 17] {
+        let dir = CampaignDir::new(&format!("kill_at_{records}"));
+        let campaign = run_ok(coordinator().args([
+            "run",
+            "--grid",
+            "small",
+            "--workers",
+            "2",
+            "--dir",
+            dir.path().to_str().expect("utf-8 tmp"),
+            "--kill",
+            &format!("1@{records}"),
+        ]));
+        assert_eq!(digest_of(&single), digest_of(&campaign), "{campaign}");
+        assert!(campaign.contains("(1 deaths"), "{campaign}");
+        assert_eq!(
+            done_lines(&dir.path().join("shard_001.jsonl")),
+            records,
+            "the dead worker's journal holds exactly its records"
+        );
+    }
+}
+
+/// The stall path: worker 1 goes silent after 5 records; the
+/// coordinator's stall timeout kills it, re-shards its remaining cells
+/// and the merge still verifies against the single-process run.
+#[test]
+fn a_stalled_worker_is_killed_and_its_cells_resharded() {
+    let dir = CampaignDir::new("hung");
+
+    let single = run_ok(coordinator().args(["single", "--grid", "small"]));
+    let campaign = run_ok(coordinator().args([
+        "run",
+        "--grid",
+        "small",
+        "--workers",
+        "3",
+        "--dir",
+        dir.path().to_str().expect("utf-8 tmp"),
+        "--hang",
+        "1@5",
+        "--stall-timeout-ms",
+        "500",
+        "--verify",
+    ]));
+    assert_eq!(
+        digest_of(&single),
+        digest_of(&campaign),
+        "single:\n{single}\ncampaign:\n{campaign}"
+    );
+    assert!(campaign.contains("verified"), "{campaign}");
+    assert!(campaign.contains("1 stalls killed"), "{campaign}");
+    assert_eq!(done_lines(&dir.path().join("shard_001.jsonl")), 5);
+}

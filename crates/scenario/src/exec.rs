@@ -68,7 +68,7 @@ pub struct ScenarioResult {
     /// timeline completed.
     pub timed_out: bool,
     /// Step-loop observability: step/sub-step counts (always collected)
-    /// and the power-vs-thermal wall-time split (zero unless the runner
+    /// and the sampled wall-time split estimate (zero unless the runner
     /// was built [`ScenarioRunner::with_step_timing`]). Never feeds the
     /// summary, trace or digests.
     pub kernel: StepObs,
@@ -170,10 +170,10 @@ impl ScenarioRunner {
         self
     }
 
-    /// Enables wall-clock timing of the step loop's power-model and
-    /// thermal-integration phases (reported in
-    /// [`ScenarioResult::kernel`]). Off by default: the uninstrumented
-    /// loop never reads the clock. This knob is runner state, not
+    /// Enables sampled wall-clock timing of the step loop's phases
+    /// (estimates reported in [`ScenarioResult::kernel`]; see
+    /// [`StepObs`](teem_soc::StepObs)). Off by default: the
+    /// uninstrumented loop never reads the clock. This knob is runner state, not
     /// [`SimConfig`], so it can never perturb sweep fingerprints.
     pub fn with_step_timing(mut self, enabled: bool) -> Self {
         self.step_timing = enabled;

@@ -36,9 +36,19 @@
 //!   ([`teem_telemetry::sweep_diff`](teem_telemetry::sweep_diff));
 //! * floats are written in Rust's shortest round-trip decimal form
 //!   (non-finite values as `null`, read back as NaN);
-//! * writes are **fsync-batched**: the OS file is flushed and synced
-//!   every [`SweepJournal::with_fsync_every`] records (default 32), on
-//!   the terminal `Finished` event, and on drop.
+//! * writes are **write-through, fsync-batched**: every record reaches
+//!   the OS (one `write` of the whole line) as it is written, and the
+//!   file is synced every [`SweepJournal::with_fsync_every`] records
+//!   (default 32), on the terminal `Finished` event, on an explicit
+//!   [`SweepJournal::sync`] and on drop.
+//!
+//! The durability rule follows from that split. A **process death**
+//! (a panic, `abort`, SIGKILL) loses no record whose write returned:
+//! the records sit in the OS page cache, which outlives the process,
+//! so a fresh reader sees exactly the records the dead writer wrote. A **host crash**
+//! (power loss, kernel panic) can lose the unsynced tail — at most
+//! `fsync_every - 1` records, 31 by default — and those cells simply
+//! re-run under the torn-tail and resume rules below.
 //!
 //! # Crash tolerance on read
 //!
@@ -276,7 +286,7 @@ pub struct FailedCell {
 /// ```
 #[derive(Debug)]
 pub struct SweepJournal {
-    writer: BufWriter<File>,
+    file: File,
     path: PathBuf,
     fsync_every: usize,
     pending: usize,
@@ -313,7 +323,7 @@ impl SweepJournal {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         let mut journal = SweepJournal {
-            writer: BufWriter::new(file),
+            file,
             path,
             fsync_every: DEFAULT_FSYNC_EVERY,
             pending: 0,
@@ -329,7 +339,7 @@ impl SweepJournal {
             spec.cells(),
             shard.as_deref(),
         );
-        journal.write_line(&line)?;
+        journal.write_line(line)?;
         journal.sync()?; // the header is durable before any cell runs
         Ok(journal)
     }
@@ -376,7 +386,7 @@ impl SweepJournal {
         file.seek(io::SeekFrom::End(0))?;
 
         Ok(SweepJournal {
-            writer: BufWriter::new(file),
+            file,
             path,
             fsync_every: DEFAULT_FSYNC_EVERY,
             pending: 0,
@@ -388,7 +398,9 @@ impl SweepJournal {
     }
 
     /// Sets how many records accumulate between fsyncs (1 ⇒ sync every
-    /// record — maximum durability, maximum cost).
+    /// record — no record lost even to a host crash, at one
+    /// `sync_data` per record). Records reach the OS as they are
+    /// written whatever the cadence, so a process death loses none.
     ///
     /// # Panics
     ///
@@ -451,8 +463,7 @@ impl SweepJournal {
     ///
     /// Any file I/O failure.
     pub fn record_done(&mut self, record: &CellRecord) -> io::Result<()> {
-        let line = done_line(record);
-        self.write_record(&line)
+        self.write_record(done_line(record))
     }
 
     /// Appends one `failed` record.
@@ -461,24 +472,23 @@ impl SweepJournal {
     ///
     /// Any file I/O failure.
     pub fn record_failed(&mut self, index: usize, scenario: &str, message: &str) -> io::Result<()> {
-        let line = failed_line(index, scenario, message);
-        self.write_record(&line)
+        self.write_record(failed_line(index, scenario, message))
     }
 
-    /// Flushes buffered lines and fsyncs the file.
+    /// Fsyncs the file. Every written record has already reached the
+    /// OS, so this only makes it survive a host crash.
     ///
     /// # Errors
     ///
     /// Any file I/O failure.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
+        self.file.sync_data()?;
         self.pending = 0;
         self.fsyncs += 1;
         Ok(())
     }
 
-    fn write_record(&mut self, line: &str) -> io::Result<()> {
+    fn write_record(&mut self, line: String) -> io::Result<()> {
         self.write_line(line)?;
         self.written += 1;
         self.pending += 1;
@@ -488,11 +498,13 @@ impl SweepJournal {
         Ok(())
     }
 
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
+    /// Writes `line` and its newline to the OS in one `write_all`, so a
+    /// reader sees each record as soon as it is written.
+    fn write_line(&mut self, mut line: String) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "journal lines are single lines");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.bytes += line.len() as u64 + 1;
+        line.push('\n');
+        self.file.write_all(line.as_bytes())?;
+        self.bytes += line.len() as u64;
         Ok(())
     }
 }
@@ -1407,6 +1419,25 @@ mod tests {
             Err(JournalError::MergeGrid { index: 1, .. }) => {}
             other => panic!("expected grid mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn records_are_visible_to_a_reader_before_any_fsync() {
+        let spec =
+            SweepSpec::over([crate::Scenario::new("s").arrive(0.0, teem_workload::App::Mvt, 0.9)])
+                .thresholds_c(&[80.0, 85.0]);
+        let dir = std::env::temp_dir().join("teem-journal-write-through");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(format!("wt-{}.jsonl", std::process::id()));
+        let mut journal = SweepJournal::create(&path, &spec).expect("creates");
+        journal.record_done(&record(1)).expect("writes");
+        assert_eq!(journal.io_stats().fsyncs, 1, "only the header is synced");
+
+        let back = LoadedJournal::load(&path).expect("loads");
+        assert_eq!(back.records, vec![record(1)]);
+        assert_eq!(back.torn_tail, None);
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -416,8 +416,10 @@ pub(crate) struct LockstepPool {
     /// one `dt`); pinned by the first admission.
     dt: Option<f64>,
     /// Pool-level step observability: the batched power/thermal
-    /// wall-time split (the per-cell kernels keep their own step and
-    /// sub-step counts). Zero unless constructed instrumented.
+    /// wall-time split, timed one round in
+    /// [`TIMING_STRIDE`](teem_soc::TIMING_STRIDE) (the per-cell kernels
+    /// keep their own step and sub-step counts). Zero unless
+    /// constructed instrumented.
     pub(crate) obs: StepObs,
     /// Lockstep rounds executed (each is one batched thermal step).
     pub(crate) rounds: u64,
@@ -745,7 +747,7 @@ impl LockstepPool {
                 rest = tail;
                 base = slot + 1;
             }
-            let obs_t0 = self.obs.clock();
+            let obs_t0 = self.obs.clock_at(self.rounds);
             read_lanes_with_hotspots(&mut banks, &mut self.sweep);
             self.obs.lap_sample(obs_t0);
         }
@@ -762,8 +764,9 @@ impl LockstepPool {
             // The sensing phase's observable effects on the hot clock:
             // accept the reading (advancing the sample grid, mirrored
             // back so the event mask keeps tracking it), record the row.
-            sim.soc.t = self.hot.t[slot];
-            sim.soc.last_total_w = self.hot.last_total_w[slot];
+            // The flush also brings the step counter the row's
+            // trace-timing decision reads up to date.
+            self.hot.flush(slot, sim, subs);
             sim.soc.accept_sample(self.sweep.readings[row]);
             sim.record_sample();
             self.hot.next_sample[slot] = sim.soc.next_sample;
@@ -788,7 +791,7 @@ impl LockstepPool {
         //     strided scalar evaluation; cleared lanes read as zero).
         //     The per-lane energy accounting rides the post-thermal
         //     pass — it depends only on the totals computed here. ---
-        let obs_t0 = self.obs.clock();
+        let obs_t0 = self.obs.clock_at(self.rounds);
         self.power
             .eval_into(&self.batch, &mut self.scratch.power, &mut self.totals);
         self.obs.lap_power(obs_t0);
@@ -797,7 +800,7 @@ impl LockstepPool {
         //     sub-step count is a function of (dt, max_stable_dt) only,
         //     so it is identical across lanes and to the scalar loop. ---
         let dt = self.dt.expect("dt pinned while lanes are resident");
-        let obs_t0 = self.obs.clock();
+        let obs_t0 = self.obs.clock_at(self.rounds);
         let substeps = self.batch.step(dt, &self.scratch.power);
         self.obs.lap_thermal(obs_t0);
 

@@ -19,12 +19,13 @@
 //!   order-invariant by construction — digest-identical to a
 //!   single-process run of the same grid;
 //! * [`run_campaign`] is the coordinator: it spawns one worker process
-//!   per shard, watches each worker's journal for liveness, and when a
-//!   worker dies or stalls it re-shards the straggler's *remaining*
-//!   cells (its [`WorkerAssignment`] minus what its journal proves
-//!   done) across as many fresh workers as there are survivors. The
-//!   daemon/isolate split mirrors the `ffx` coordinator-with-
-//!   restartable-isolates exemplar named in ROADMAP.md.
+//!   per shard, wakes on each worker's exit, watches each worker's
+//!   journal for stalls, and when a worker dies or stalls it re-shards
+//!   the straggler's *remaining* cells (its [`WorkerAssignment`] minus
+//!   what its journal proves done) across as many fresh workers as
+//!   there are survivors. The daemon/isolate split mirrors the `ffx`
+//!   coordinator-with-restartable-isolates exemplar named in
+//!   ROADMAP.md.
 //!
 //! The re-shard algebra is deliberately compositional: a worker's cell
 //! set is `part(shard) \ union(completed(exclude journals))`, where
@@ -40,6 +41,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::str::FromStr;
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::journal::{journal_digest, JournalError, LoadedJournal};
@@ -360,7 +363,9 @@ pub struct CampaignOpts {
     pub workers: usize,
     /// Directory the shard journals (and metrics sidecars) live in.
     pub dir: PathBuf,
-    /// How often the coordinator polls journals and child status.
+    /// How often the coordinator checks journals for stalls (and
+    /// refreshes progress) while no worker exits — a worker's exit
+    /// wakes it at once.
     pub poll_interval: Duration,
     /// No new journal record for this long ⇒ the worker is a straggler:
     /// kill it and re-shard its remaining cells.
@@ -411,9 +416,14 @@ pub struct CampaignOutcome {
 
 /// One supervised worker process.
 struct Supervised {
+    /// Spawn sequence number — the worker's name on the exit channel.
+    seq: usize,
     assignment: WorkerAssignment,
     journal: PathBuf,
     child: Child,
+    /// Drains the worker's stdout and reports its EOF on the exit
+    /// channel; joined once the worker is reaped.
+    stdout_reader: JoinHandle<()>,
     records_seen: usize,
     last_progress: Instant,
 }
@@ -460,6 +470,12 @@ fn journal_counts(path: &Path) -> (usize, usize) {
 /// * a worker whose journal shows **no new record** for
 ///   `opts.stall_timeout` is killed and re-sharded the same way.
 ///
+/// Exits are noticed as they happen: the coordinator pipes each
+/// worker's stdout (workers should print nothing there; anything they
+/// do print is discarded) and wakes when the pipe closes.
+/// `opts.poll_interval` only paces the stall checks and the progress
+/// line in between.
+///
 /// Every journal ever written participates in the final
 /// [`SweepJournal::merge`](crate::SweepJournal::merge), which
 /// hard-errors on fingerprint mismatch, overlapping done-sets or
@@ -485,6 +501,10 @@ pub fn run_campaign(
     let mut respawns = 0usize;
     let mut spawn_seq = 0usize;
     let mut progress = CampaignProgress::new(grid, opts.workers);
+    // Each worker's stdout is a pipe whose reader thread reports the
+    // worker's spawn number here at EOF — i.e. when the worker exits —
+    // so the loop below wakes on exits instead of polling for them.
+    let (exited_tx, exited_rx) = mpsc::channel::<usize>();
 
     let mut launch = |assignment: WorkerAssignment,
                       active: &mut Vec<Supervised>,
@@ -492,15 +512,23 @@ pub fn run_campaign(
                       seq: &mut usize|
      -> Result<(), CampaignError> {
         let journal = opts.dir.join(format!("shard_{:03}.jsonl", *seq));
-        *seq += 1;
         let mut command = spawn(&assignment, &journal);
-        command.stdin(Stdio::null());
-        let child = command.spawn()?;
+        command.stdin(Stdio::null()).stdout(Stdio::piped());
+        let mut child = command.spawn()?;
+        let mut stdout = child.stdout.take().expect("stdout is piped");
+        let (id, tx) = (*seq, exited_tx.clone());
+        let stdout_reader = std::thread::spawn(move || {
+            let _ = io::copy(&mut stdout, &mut io::sink());
+            let _ = tx.send(id);
+        });
+        *seq += 1;
         all_journals.push(journal.clone());
         active.push(Supervised {
+            seq: id,
             assignment,
             journal,
             child,
+            stdout_reader,
             records_seen: 0,
             last_progress: Instant::now(),
         });
@@ -517,7 +545,11 @@ pub fn run_campaign(
     }
 
     while !active.is_empty() {
-        std::thread::sleep(opts.poll_interval);
+        let mut exited: Vec<usize> = exited_rx
+            .recv_timeout(opts.poll_interval)
+            .into_iter()
+            .collect();
+        exited.extend(exited_rx.try_iter());
         let mut respawn_queue: Vec<WorkerAssignment> = Vec::new();
         let mut i = 0;
         while i < active.len() {
@@ -528,9 +560,21 @@ pub fn run_campaign(
                 w.records_seen = done + failed;
                 w.last_progress = now;
             }
-            match w.child.try_wait()? {
+            // A closed stdout means the worker is exiting: reap it
+            // rather than race `try_wait` against its exit.
+            let status = if exited.contains(&w.seq) {
+                Some(w.child.wait()?)
+            } else {
+                w.child.try_wait()?
+            };
+            match status {
                 Some(status) => {
                     let w = active.swap_remove(i);
+                    // The worker has exited, so its stdout is closed
+                    // and the reader is finishing.
+                    w.stdout_reader
+                        .join()
+                        .expect("a stdout reader only copies and sends");
                     // Trust only the journals, not the exit code: the
                     // worker is finished iff every assigned cell has a
                     // durable `done` record — in its own journal or in
@@ -587,7 +631,7 @@ pub fn run_campaign(
                         stalls_killed += 1;
                         let _ = w.child.kill();
                         let _ = w.child.wait();
-                        w.last_progress = now; // the exit branch handles it next tick
+                        w.last_progress = now; // the exit branch re-shards it next pass
                     }
                     i += 1;
                 }
@@ -596,9 +640,10 @@ pub fn run_campaign(
         for assignment in respawn_queue {
             respawns += 1;
             if respawns > opts.respawn_budget {
-                for w in &mut active {
+                for mut w in active.drain(..) {
                     let _ = w.child.kill();
                     let _ = w.child.wait();
+                    let _ = w.stdout_reader.join();
                 }
                 return Err(CampaignError::RespawnBudget { respawns });
             }

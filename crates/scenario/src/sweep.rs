@@ -1910,9 +1910,11 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let spec = SweepSpec::over([Scenario::new("a")
-            .arrive(0.0, App::Mvt, 0.9)
-            .arrive(1.0, App::Gesummv, 0.9)])
+        let spec = SweepSpec::over([Scenario::new("a").arrive(0.0, App::Mvt, 0.9).arrive(
+            1.0,
+            App::Gesummv,
+            0.9,
+        )])
         .approaches(&[Approach::Teem, Approach::Eemp]);
         let par = spec.clone().threads(4).run_collect().expect("runs");
         let seq = spec.threads(1).run_collect().expect("runs");

@@ -18,14 +18,18 @@
 //!    replacement's cell set via `exclude_completed` (shard labels may
 //!    differ), and the merge of every journal — dead worker's included
 //!    — still equals the uninterrupted run.
+//! 5. **Exits wake the coordinator.** `run_campaign` notices a worker's
+//!    exit when it happens, not at its next poll.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::process::Command;
+use std::time::{Duration, Instant};
 
 use teem_core::runner::Approach;
 use teem_scenario::{
-    journal_digest, run_interrupted, ConfigPatch, JournalError, LoadedJournal, Scenario, ShardSpec,
-    SweepEvent, SweepJournal, SweepSpec, WorkerAssignment,
+    journal_digest, run_campaign, run_interrupted, CampaignOpts, ConfigPatch, JournalError,
+    LoadedJournal, Scenario, ShardSpec, SweepEvent, SweepJournal, SweepSpec, WorkerAssignment,
 };
 use teem_telemetry::CellRecord;
 use teem_workload::App;
@@ -311,5 +315,34 @@ fn reshard_after_a_mid_shard_death_still_merges_digest_identical() {
         journal_digest(&merged.records),
         journal_digest(&reference),
         "death + re-shard ≡ uninterrupted single-process run"
+    );
+}
+
+/// With a 30 s poll interval, a campaign whose workers exit at once
+/// still finishes at once: each worker's exit wakes the coordinator.
+/// (The "workers" run their shards in-process while their command is
+/// built, then are processes that exit immediately.)
+#[test]
+fn campaign_wakes_on_worker_exit_not_on_its_poll_interval() {
+    let spec = grid_spec();
+    let dir = std::env::temp_dir().join(format!("teem_shard_wake_{}", std::process::id()));
+    let mut opts = CampaignOpts::new(2, &dir);
+    opts.poll_interval = Duration::from_secs(30);
+
+    let started = Instant::now();
+    let outcome = run_campaign(&spec, &opts, |assignment, journal| {
+        let restricted = assignment.apply(spec.clone()).expect("assignment applies");
+        run_shard(restricted, &journal.to_path_buf());
+        Command::new("true")
+    });
+    let elapsed = started.elapsed();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let outcome = outcome.expect("campaign completes");
+    assert_eq!(outcome.deaths, 0);
+    assert_eq!(outcome.digest, journal_digest(&uninterrupted(&spec)));
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "the campaign waited for its poll interval: {elapsed:?}"
     );
 }

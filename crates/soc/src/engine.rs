@@ -799,20 +799,30 @@ impl StepScratch {
 /// counters and the wall-time split between the power-model evaluation
 /// and the thermal integration.
 ///
-/// Counters are unconditional (one integer add per step — cheaper than
-/// the branch that would gate them). Wall-clock timing is gated on the
-/// single `enabled` bool so the default, uninstrumented hot loop pays
-/// exactly one predictable branch per phase and never calls
-/// `Instant::now`. The accumulator lives in [`StepScratch`] so the step
-/// loop touches memory it already owns — no extra cache line, no
-/// shared state.
+/// Counters are unconditional and exact (one integer add per step —
+/// cheaper than the branch that would gate them). Wall-clock timing is
+/// gated on the single `enabled` bool so the default, uninstrumented
+/// hot loop pays exactly one predictable branch per phase and never
+/// calls `Instant::now`. The accumulator lives in [`StepScratch`] so
+/// the step loop touches memory it already owns — no extra cache line,
+/// no shared state.
+///
+/// Timing is **sampled**: an enabled accumulator times one step in
+/// [`TIMING_STRIDE`] — steps 0, stride, 2·stride, … of its own count
+/// (the lockstep pool strides over its rounds the same way) — and banks
+/// each timed phase's elapsed time × stride. The `*_ns` fields are
+/// therefore estimates of the phase totals, not measurements: a probe
+/// costs about as much as a whole step, and timing every step would
+/// roughly double the run it measures. Each timed phase still carries
+/// about one clock read's latency, which the estimates do not subtract.
 ///
 /// Timing never feeds back into the physics, fingerprints or digests:
 /// an instrumented run is bit-identical to a disabled one (pinned by
 /// the golden-digest tests in the scenario crate).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObs {
-    /// `true` ⇒ the step loop samples `Instant::now` around each phase.
+    /// `true` ⇒ the step loop times each phase of every
+    /// [`TIMING_STRIDE`]-th step.
     pub enabled: bool,
     /// Outer engine steps executed.
     pub steps: u64,
@@ -821,16 +831,20 @@ pub struct StepObs {
     pub batched_steps: u64,
     /// Euler sub-steps the thermal integrator actually took.
     pub substeps: u64,
-    /// Nanoseconds in the power-model evaluation (0 unless `enabled`).
+    /// Estimated nanoseconds in the power-model evaluation (0 unless
+    /// `enabled`).
     pub power_ns: u64,
-    /// Nanoseconds in the thermal integration (0 unless `enabled`).
+    /// Estimated nanoseconds in the thermal integration (0 unless
+    /// `enabled`).
     pub thermal_ns: u64,
-    /// Nanoseconds reading sensors on sample ticks (0 unless `enabled`).
+    /// Estimated nanoseconds reading sensors on sample ticks (0 unless
+    /// `enabled`).
     pub sample_ns: u64,
-    /// Nanoseconds staging/recording trace samples (0 unless `enabled`).
+    /// Estimated nanoseconds staging/recording trace samples (0 unless
+    /// `enabled`).
     pub trace_ns: u64,
-    /// Nanoseconds in manager control + actuation on due ticks
-    /// (0 unless `enabled`).
+    /// Estimated nanoseconds in manager control + actuation on due
+    /// ticks (0 unless `enabled`).
     pub control_ns: u64,
     /// Idle gaps the event-driven executor fast-forwarded instead of
     /// stepping (0 under [`TimeAdvance::FixedDt`]).
@@ -845,10 +859,19 @@ pub struct StepObs {
 }
 
 impl StepObs {
-    /// Starts a phase clock — `None` (and no syscall) unless enabled.
+    /// Starts a phase clock for the current step — `None` (and no
+    /// syscall) unless enabled and the step is a timed one.
     #[inline]
     pub fn clock(&self) -> Option<std::time::Instant> {
-        if self.enabled {
+        self.clock_at(self.steps)
+    }
+
+    /// Starts a phase clock for step (or lockstep round) `index` —
+    /// `None` unless enabled and `index` is a multiple of
+    /// [`TIMING_STRIDE`].
+    #[inline]
+    pub fn clock_at(&self, index: u64) -> Option<std::time::Instant> {
+        if self.enabled && index.is_multiple_of(TIMING_STRIDE) {
             Some(std::time::Instant::now())
         } else {
             None
@@ -904,12 +927,20 @@ impl StepObs {
     }
 }
 
-/// Adds the nanoseconds elapsed since `t0` to `acc` (saturating); a
-/// `None` start (timing disabled) banks nothing.
+/// Steps (or lockstep rounds) per timed one when [`StepObs`] timing is
+/// enabled. Prime, so the timed steps walk every residue of the 10-step
+/// sample and control periods and those ticks keep their true share of
+/// the sample.
+pub const TIMING_STRIDE: u64 = 31;
+
+/// Adds the nanoseconds elapsed since `t0`, scaled by
+/// [`TIMING_STRIDE`], to `acc` (saturating); a `None` start (an
+/// untimed step) banks nothing.
 #[inline]
 fn bank(acc: &mut u64, t0: Option<std::time::Instant>) {
     if let Some(t0) = t0 {
-        *acc = acc.saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        *acc = acc.saturating_add(ns.saturating_mul(TIMING_STRIDE));
     }
 }
 
@@ -2037,5 +2068,49 @@ mod tests {
                 assert!(on_grid(s.t), "{name} sample at {} is off the grid", s.t);
             }
         }
+    }
+
+    /// Enabled timing clocks exactly the steps 0, stride, 2·stride, …;
+    /// sample ticks keep their true share of the timed steps, and the
+    /// exact counters are the same with timing on or off.
+    #[test]
+    fn step_timing_samples_one_step_per_stride() {
+        const STEPS: u64 = 3000;
+        let run = |enabled: bool| {
+            let config = SimConfig::default();
+            let mut soc = SocStepper::new(
+                Board::odroid_xu4_ideal(),
+                ThermalZone::disabled(),
+                &config,
+                cv_spec().initial,
+            );
+            soc.scratch.obs.enabled = enabled;
+            let (mut timed, mut timed_samples, mut samples) = (0u64, 0u64, 0u64);
+            for _ in 0..STEPS {
+                let is_timed = soc.scratch.obs.clock().is_some();
+                timed += u64::from(is_timed);
+                if soc.sample_due() {
+                    samples += 1;
+                    timed_samples += u64::from(is_timed);
+                    soc.sample(CpuMapping::new(2, 3), true, 1.0);
+                }
+                soc.advance(&[], false);
+            }
+            (soc.scratch.obs, timed, timed_samples, samples)
+        };
+
+        let (on, timed, timed_samples, samples) = run(true);
+        assert_eq!(timed, STEPS.div_ceil(TIMING_STRIDE));
+        let true_share = samples as f64 / STEPS as f64;
+        assert!(
+            (timed_samples as f64 - true_share * timed as f64).abs() <= 1.0,
+            "{timed_samples} of {timed} timed steps are sample ticks; true share {true_share}"
+        );
+
+        let (off, untimed, _, _) = run(false);
+        assert_eq!(untimed, 0);
+        assert_eq!(off.power_ns + off.thermal_ns + off.sample_ns, 0);
+        assert_eq!((on.steps, on.substeps), (STEPS, off.substeps));
+        assert_eq!(off.steps, STEPS);
     }
 }

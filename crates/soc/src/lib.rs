@@ -73,6 +73,7 @@ pub use engine::{
     idle_node_powers_into, node_powers_into, ClusterFreqs, CoRunShare, GapAdvance, GapPower,
     HotspotSplit, IdlePolicy, JobState, Manager, RunResult, RunSpec, SimConfig, Simulation,
     SocControl, SocStepper, SocView, StepObs, StepScratch, TimeAdvance, GAP_SEGMENT_DELTA_C,
+    TIMING_STRIDE,
 };
 pub use fastexp::{exp_exact, exp_exact4, exp_exact_block};
 pub use freq::{MHz, Opp, OppTable};
