@@ -34,19 +34,23 @@ impl Eemp {
     /// the offline grid, every entry at maximum V/f (the paper's EEMP
     /// power management is core gating, not frequency scaling).
     /// Evaluated with the analytic model (the paper's EEMP stores
-    /// measured values; ours stores the simulator's predictions).
+    /// measured values; ours stores the simulator's predictions), one
+    /// [`evaluate::Evaluator`] per mapping, so each mapping's eight
+    /// partitions share its three phase solves.
     pub fn build(board: &Board, app: App) -> Eemp {
         let chars = app.characteristics();
         let mut entries = Vec::with_capacity(DesignPointLut::EEMP_ENTRIES);
         for little in 1..=4u32 {
             for big in 1..=4u32 {
+                let mapping = CpuMapping::new(little, big);
+                let mut eval = evaluate::Evaluator::new(board, &chars, mapping, max_freqs());
                 for eighths in 1..=8u8 {
                     let dp = DesignPoint {
-                        mapping: CpuMapping::new(little, big),
+                        mapping,
                         freqs: max_freqs(),
                         partition: Partition::from_eighths(eighths),
                     };
-                    entries.push((dp, evaluate::predict(board, &chars, &dp)));
+                    entries.push((dp, eval.eval(dp.partition)));
                 }
             }
         }
@@ -71,8 +75,9 @@ impl Eemp {
             .0
     }
 
-    /// Like [`Eemp::plan`] but with the mapping fixed (the paper's
-    /// Fig. 5 holds the mapping at 2L+4B across approaches): selection
+    /// Like [`Eemp::plan`] but with the mapping fixed (the Fig. 5
+    /// experiments hold one mapping across approaches,
+    /// [`fig5_mapping`](crate::runner::fig5_mapping)): selection
     /// restricted to entries with that mapping.
     pub fn plan_with_mapping(&self, treq_s: f64, mapping: CpuMapping) -> DesignPoint {
         let feasible = self

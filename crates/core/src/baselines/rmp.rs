@@ -29,9 +29,10 @@ impl Rmp {
         Rmp::build_with_mapping(board, app, treq_s, None)
     }
 
-    /// Like [`Rmp::build`] but with the CPU mapping fixed (the paper's
-    /// Fig. 5 holds 2L+4B across approaches); the GPU-only option is
-    /// unaffected by the mapping.
+    /// Like [`Rmp::build`] but with the CPU mapping fixed (the Fig. 5
+    /// experiments hold one mapping across approaches,
+    /// [`fig5_mapping`](crate::runner::fig5_mapping)); the GPU-only
+    /// option is unaffected by the mapping.
     pub fn build_with_mapping(
         board: &Board,
         app: App,
@@ -82,34 +83,36 @@ impl Rmp {
                 v
             }
         };
-        {
-            for m in candidates {
-                for partition in Partition::offline_grid() {
-                    let dp = DesignPoint {
-                        mapping: m,
-                        freqs: ClusterFreqs {
-                            big: MHz(2000),
-                            little: MHz(1400),
-                            gpu: MHz(600),
-                        },
-                        partition,
-                    };
-                    let e = evaluate::predict(board, &chars, &dp);
-                    if !e.et_s.is_finite() {
-                        continue;
+        let freqs = ClusterFreqs {
+            big: MHz(2000),
+            little: MHz(1400),
+            gpu: MHz(600),
+        };
+        for m in candidates {
+            // One evaluator per mapping: its partitions share the
+            // mapping's phase solves.
+            let mut eval = evaluate::Evaluator::new(board, &chars, m, freqs);
+            for partition in Partition::offline_grid() {
+                let dp = DesignPoint {
+                    mapping: m,
+                    freqs,
+                    partition,
+                };
+                let e = eval.eval(partition);
+                if !e.et_s.is_finite() {
+                    continue;
+                }
+                // RMP trades up to `slack` of the deadline for
+                // better temperature behaviour.
+                if e.et_s <= treq_s * slack {
+                    let better = best_ok.map(|(_, t)| e.peak_temp_c < t).unwrap_or(true);
+                    if better {
+                        best_ok = Some((dp, e.peak_temp_c));
                     }
-                    // RMP trades up to `slack` of the deadline for
-                    // better temperature behaviour.
-                    if e.et_s <= treq_s * slack {
-                        let better = best_ok.map(|(_, t)| e.peak_temp_c < t).unwrap_or(true);
-                        if better {
-                            best_ok = Some((dp, e.peak_temp_c));
-                        }
-                    }
-                    let faster = best_any.map(|(_, t)| e.et_s < t).unwrap_or(true);
-                    if faster {
-                        best_any = Some((dp, e.et_s));
-                    }
+                }
+                let faster = best_any.map(|(_, t)| e.et_s < t).unwrap_or(true);
+                if faster {
+                    best_any = Some((dp, e.et_s));
                 }
             }
         }

@@ -11,7 +11,7 @@
 
 use crate::model::{mapping_with_cores, MappingModel};
 use crate::profile::{AppProfile, ProfileStore};
-use teem_dse::{evaluate, DesignPoint};
+use teem_dse::{evaluate, DesignPoint, DesignPointEval};
 use teem_linreg::{Dataset, LinregError, OlsFit};
 use teem_soc::{perf, Board, ClusterFreqs, CpuMapping, MHz};
 use teem_workload::App;
@@ -34,19 +34,20 @@ pub struct Observation {
     pub ec: f64,
 }
 
-/// Evaluates one (app, mapping) profiling point at the deadline
-/// frontier: the *lowest* big-cluster frequency whose predicted
-/// execution time meets `treq_s`, at the balanced work partition for
-/// that setting. When even the maximum frequency misses the deadline,
-/// the maximum-frequency point is recorded (the mapping simply cannot
-/// deliver the requirement — hot and still late).
-///
-/// This is the semantics the regression needs: the model answers "given
-/// a requirement (AT, TREQ), which mapping satisfies it?". For a fixed
-/// deadline, a larger mapping runs at a lower clock and therefore
-/// *cooler* — which is exactly why both β1 (AT) and β2 (ET) come out
-/// negative in Table II: more cores are needed when the requirement is
-/// cooler or tighter.
+impl Observation {
+    /// The observation `eval` makes at `mapping`.
+    fn of(mapping: CpuMapping, eval: &DesignPointEval) -> Self {
+        Observation {
+            mapping,
+            m: f64::from(mapping.total_cores()),
+            at: eval.avg_temp_c,
+            et: eval.et_s,
+            pt: eval.peak_temp_c,
+            ec: eval.energy_j,
+        }
+    }
+}
+
 /// Sustainability ceiling for offline measurements: operating points
 /// whose predicted average temperature exceeds this cannot be measured
 /// steadily on the board (the 95 °C trip throttles them), so the offline
@@ -59,9 +60,16 @@ pub const SUSTAINABLE_AVG_C: f64 = 93.0;
 /// at the balanced work partition for that setting. When no sustainable
 /// frequency meets the deadline, the fastest sustainable point is
 /// recorded — the mapping simply cannot deliver the requirement.
+///
+/// This is the semantics the regression needs: the model answers "given
+/// a requirement (AT, TREQ), which mapping satisfies it?". For a fixed
+/// deadline, a larger mapping runs at a lower clock and therefore
+/// *cooler* — which is exactly why both β1 (AT) and β2 (ET) come out
+/// negative in Table II: more cores are needed when the requirement is
+/// cooler or tighter.
 pub fn observe_deadline(board: &Board, app: App, mapping: CpuMapping, treq_s: f64) -> Observation {
     let chars = app.characteristics();
-    let mut chosen: Option<teem_dse::DesignPointEval> = None;
+    let mut chosen: Option<DesignPointEval> = None;
     for opp in board.big_opps.iter() {
         let freqs = ClusterFreqs {
             big: opp.freq,
@@ -110,14 +118,7 @@ pub fn observe_deadline(board: &Board, app: App, mapping: CpuMapping, treq_s: f6
             },
         )
     });
-    Observation {
-        mapping,
-        m: f64::from(mapping.total_cores()),
-        at: eval.avg_temp_c,
-        et: eval.et_s,
-        pt: eval.peak_temp_c,
-        ec: eval.energy_j,
-    }
+    Observation::of(mapping, &eval)
 }
 
 /// Reference execution time used to scale per-app deadline targets: the
@@ -177,34 +178,20 @@ pub fn observe_at_frontier(
     for (idx, &f) in opps.iter().enumerate().rev() {
         let eval = eval_at(f);
         if eval.avg_temp_c <= at_target_c {
-            // Unbound at maximum: apply the margin policy.
-            let f = if idx == opps.len() - 1 {
-                opps[idx.saturating_sub(unbound_backoff)]
-            } else {
-                f
-            };
-            let eval = eval_at(f);
-            return Observation {
-                mapping,
-                m: f64::from(mapping.total_cores()),
-                at: eval.avg_temp_c,
-                et: eval.et_s,
-                pt: eval.peak_temp_c,
-                ec: eval.energy_j,
-            };
+            // Unbound at maximum: apply the margin policy (a point the
+            // scan has not evaluated yet).
+            if idx == opps.len() - 1 {
+                let backed_off = opps[idx.saturating_sub(unbound_backoff)];
+                if backed_off != f {
+                    return Observation::of(mapping, &eval_at(backed_off));
+                }
+            }
+            return Observation::of(mapping, &eval);
         }
     }
     // Even the lowest OPP is too hot (does not happen on the default
     // board): record the coolest point.
-    let eval = eval_at(opps[0]);
-    Observation {
-        mapping,
-        m: f64::from(mapping.total_cores()),
-        at: eval.avg_temp_c,
-        et: eval.et_s,
-        pt: eval.peak_temp_c,
-        ec: eval.energy_j,
-    }
+    Observation::of(mapping, &eval_at(opps[0]))
 }
 
 /// The mapping-size and deadline grid of the global regression dataset

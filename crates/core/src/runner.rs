@@ -290,8 +290,8 @@ pub fn prepare(
 /// [`crate::offline::profile_app`].
 ///
 /// A fixed `mapping_override`/`partition_override` can replace the
-/// planned values — the paper's Fig. 5 fixes the mapping (2L+4B) across
-/// approaches.
+/// planned values — the Fig. 5 experiments fix the mapping across
+/// approaches ([`fig5_mapping`], 2L+3B).
 pub fn run(
     app: App,
     approach: Approach,

@@ -119,3 +119,35 @@ fn lut_selection_is_pareto_consistent() {
         }
     }
 }
+
+#[test]
+fn memoised_evaluator_matches_fresh_predict_bit_for_bit() {
+    // One evaluator per operating point serves every partition from at
+    // most three phase solves; each result must equal a fresh one-point
+    // `predict`, whatever order the partitions arrive in.
+    let board = Board::odroid_xu4_ideal();
+    let bits = |e: teem_dse::DesignPointEval| {
+        [e.et_s, e.avg_temp_c, e.peak_temp_c, e.energy_j].map(f64::to_bits)
+    };
+    for app in [App::Covariance, App::Gemm] {
+        let chars = app.characteristics();
+        for f_big in [800, 2000] {
+            for little in 1..=4u32 {
+                for big in 1..=4u32 {
+                    let point = dp(little, big, f_big, 0);
+                    let mut eval =
+                        evaluate::Evaluator::new(&board, &chars, point.mapping, point.freqs);
+                    for partition in Partition::offline_grid().into_iter().rev() {
+                        let fresh =
+                            evaluate::predict(&board, &chars, &DesignPoint { partition, ..point });
+                        assert_eq!(
+                            bits(eval.eval(partition)),
+                            bits(fresh),
+                            "{app} {little}L+{big}B @ {f_big} MHz, {partition}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

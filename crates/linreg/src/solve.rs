@@ -135,7 +135,144 @@ impl Cholesky {
     }
 }
 
-/// Solves `A x = b` by LU decomposition with partial pivoting.
+/// LU factorisation with partial pivoting, `P A = L U`.
+///
+/// Produced by [`Lu::factor`]; solves `A x = b` in `O(n^2)` per
+/// right-hand side once the `O(n^3)` factorisation is done, so a fixed
+/// system (the thermal network's conductance matrix) is factored once and
+/// solved many times.
+#[derive(Debug, Clone)]
+pub struct Lu {
+    /// Packed factors: unit-lower `L` strictly below the diagonal, `U` on
+    /// and above it, rows in their final pivoted order.
+    lu: Matrix,
+    /// `pivots[k]` is the row swapped with row `k` at elimination step `k`.
+    pivots: Vec<usize>,
+}
+
+impl Lu {
+    /// Factors a square matrix by Gaussian elimination with partial
+    /// pivoting.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinregError::Singular`] for (numerically) singular `a`
+    /// and [`LinregError::DimensionMismatch`] when `a` is not square.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use teem_linreg::{Matrix, solve::Lu};
+    ///
+    /// let a = Matrix::from_rows(&[vec![0.0, 2.0], vec![1.0, 1.0]])?;
+    /// let lu = Lu::factor(&a)?;
+    /// let mut x = [4.0, 3.0];
+    /// lu.solve_in_place(&mut x)?;
+    /// assert_eq!(x, [1.0, 2.0]);
+    /// # Ok::<(), teem_linreg::LinregError>(())
+    /// ```
+    pub fn factor(a: &Matrix) -> Result<Lu> {
+        if a.rows() != a.cols() {
+            return Err(LinregError::DimensionMismatch {
+                op: "lu factor",
+                lhs: (a.rows(), a.cols()),
+                rhs: (a.rows(), a.rows()),
+            });
+        }
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut pivots = Vec::with_capacity(n);
+        let scale = lu.max_abs();
+        let tol = scale * 1e-13 + f64::MIN_POSITIVE;
+
+        for k in 0..n {
+            // Partial pivot
+            let mut piv = k;
+            let mut max = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                if lu[(i, k)].abs() > max {
+                    max = lu[(i, k)].abs();
+                    piv = i;
+                }
+            }
+            if max <= tol {
+                return Err(LinregError::Singular);
+            }
+            if piv != k {
+                // Whole rows, so earlier multipliers follow their row.
+                for c in 0..n {
+                    let tmp = lu[(k, c)];
+                    lu[(k, c)] = lu[(piv, c)];
+                    lu[(piv, c)] = tmp;
+                }
+            }
+            pivots.push(piv);
+            for i in (k + 1)..n {
+                let f = lu[(i, k)] / lu[(k, k)];
+                lu[(i, k)] = f;
+                for c in (k + 1)..n {
+                    let v = lu[(k, c)];
+                    lu[(i, c)] -= f * v;
+                }
+            }
+        }
+        Ok(Lu { lu, pivots })
+    }
+
+    /// Dimension of the factorised matrix.
+    pub fn dim(&self) -> usize {
+        self.lu.rows()
+    }
+
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the
+    /// solution on return. Allocation-free.
+    ///
+    /// Every row swap is applied to `x` first, then `L` and `U` are
+    /// substituted against it (LAPACK `getrs` order). Each entry receives
+    /// the same subtractions in the same order as when the right-hand
+    /// side is carried through the elimination itself, so the result is
+    /// bit-identical to that one-shot solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinregError::DimensionMismatch`] when `x.len() != dim()`.
+    pub fn solve_in_place(&self, x: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if x.len() != n {
+            return Err(LinregError::DimensionMismatch {
+                op: "lu solve",
+                lhs: (n, n),
+                rhs: (x.len(), 1),
+            });
+        }
+        for (k, &p) in self.pivots.iter().enumerate() {
+            x.swap(k, p);
+        }
+        // Forward substitution on unit-lower L.
+        for i in 1..n {
+            let (done, rest) = x.split_at_mut(i);
+            let mut s = rest[0];
+            for (l, xk) in self.lu.row(i)[..i].iter().zip(done.iter()) {
+                s -= l * xk;
+            }
+            rest[0] = s;
+        }
+        // Back substitution on U.
+        for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut s = head[i];
+            for (u, xc) in row[i + 1..].iter().zip(solved.iter()) {
+                s -= u * xc;
+            }
+            head[i] = s / row[i];
+        }
+        Ok(())
+    }
+}
+
+/// Solves `A x = b` by LU decomposition with partial pivoting: one
+/// [`Lu::factor`] plus one [`Lu::solve_in_place`].
 ///
 /// General-purpose fallback used in tests to cross-check [`cholesky`] and
 /// available for non-symmetric systems.
@@ -160,52 +297,9 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
             rhs: (b.len(), 1),
         });
     }
-    let mut lu = a.clone();
-    let mut x: Vec<f64> = b.to_vec();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let scale = lu.max_abs();
-    let tol = scale * 1e-13 + f64::MIN_POSITIVE;
-
-    for k in 0..n {
-        // Partial pivot
-        let mut piv = k;
-        let mut max = lu[(k, k)].abs();
-        for i in (k + 1)..n {
-            if lu[(i, k)].abs() > max {
-                max = lu[(i, k)].abs();
-                piv = i;
-            }
-        }
-        if max <= tol {
-            return Err(LinregError::Singular);
-        }
-        if piv != k {
-            for c in 0..n {
-                let tmp = lu[(k, c)];
-                lu[(k, c)] = lu[(piv, c)];
-                lu[(piv, c)] = tmp;
-            }
-            x.swap(k, piv);
-            perm.swap(k, piv);
-        }
-        for i in (k + 1)..n {
-            let f = lu[(i, k)] / lu[(k, k)];
-            lu[(i, k)] = f;
-            for c in (k + 1)..n {
-                let v = lu[(k, c)];
-                lu[(i, c)] -= f * v;
-            }
-            x[i] -= f * x[k];
-        }
-    }
-    // Back substitution on U
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for c in (i + 1)..n {
-            s -= lu[(i, c)] * x[c];
-        }
-        x[i] = s / lu[(i, i)];
-    }
+    let lu = Lu::factor(a)?;
+    let mut x = b.to_vec();
+    lu.solve_in_place(&mut x)?;
     Ok(x)
 }
 

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use teem_linreg::dist::{f_upper_p, inc_beta, t_two_sided_p};
 use teem_linreg::quantile::{quantile, FiveNum};
-use teem_linreg::solve::{cholesky, lu_solve};
-use teem_linreg::{Dataset, Matrix};
+use teem_linreg::solve::{cholesky, lu_solve, Lu};
+use teem_linreg::{Dataset, LinregError, Matrix};
 
 /// Strategy: a small well-conditioned SPD matrix built as `A = B B^T + c I`.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
@@ -24,6 +24,90 @@ fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// The one-shot LU solve `lu_solve` used before the factor was split from
+/// the solve: the right-hand side is carried through the elimination,
+/// swapped and updated step by step. Kept as the bit-identity reference.
+fn interleaved_lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinregError> {
+    let n = a.rows();
+    let mut lu = a.clone();
+    let mut x: Vec<f64> = b.to_vec();
+    let scale = lu.max_abs();
+    let tol = scale * 1e-13 + f64::MIN_POSITIVE;
+    for k in 0..n {
+        let mut piv = k;
+        let mut max = lu[(k, k)].abs();
+        for i in (k + 1)..n {
+            if lu[(i, k)].abs() > max {
+                max = lu[(i, k)].abs();
+                piv = i;
+            }
+        }
+        if max <= tol {
+            return Err(LinregError::Singular);
+        }
+        if piv != k {
+            for c in 0..n {
+                let tmp = lu[(k, c)];
+                lu[(k, c)] = lu[(piv, c)];
+                lu[(piv, c)] = tmp;
+            }
+            x.swap(k, piv);
+        }
+        for i in (k + 1)..n {
+            let f = lu[(i, k)] / lu[(k, k)];
+            lu[(i, k)] = f;
+            for c in (k + 1)..n {
+                let v = lu[(k, c)];
+                lu[(i, c)] -= f * v;
+            }
+            x[i] -= f * x[k];
+        }
+    }
+    for i in (0..n).rev() {
+        let mut s = x[i];
+        for c in (i + 1)..n {
+            s -= lu[(i, c)] * x[c];
+        }
+        x[i] = s / lu[(i, i)];
+    }
+    Ok(x)
+}
+
+/// A solve result with every float as its bit pattern, so equality is
+/// bit-for-bit (and errors compare as errors).
+fn bits(r: &Result<Vec<f64>, LinregError>) -> Result<Vec<u64>, LinregError> {
+    r.clone().map(|x| x.iter().map(|v| v.to_bits()).collect())
+}
+
+/// Strategy: an `n × n` matrix (`n` in 1..=8) whose elimination needs row
+/// swaps — the leading entry is zeroed — and, for `kind == 0`, an exactly
+/// repeated row so the factorisation must report it singular. Returned
+/// with three right-hand sides.
+fn pivoting_system() -> impl Strategy<Value = (Matrix, Vec<Vec<f64>>)> {
+    (
+        1usize..=8,
+        0u32..4,
+        proptest::collection::vec(-4.0..4.0f64, 64),
+        proptest::collection::vec(-10.0..10.0f64, 24),
+    )
+        .prop_map(|(n, kind, vals, rhs)| {
+            let mut a = Matrix::zeros(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    a[(r, c)] = vals[r * 8 + c];
+                }
+            }
+            a[(0, 0)] = 0.0;
+            if kind == 0 && n > 1 {
+                for c in 0..n {
+                    a[(n - 1, c)] = a[(0, c)];
+                }
+            }
+            let bs = rhs.chunks(8).map(|b| b[..n].to_vec()).collect();
+            (a, bs)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -35,6 +119,23 @@ proptest! {
         let ax = a.matvec(&x).expect("dimensions match");
         for (l, r) in ax.iter().zip(b.iter()) {
             prop_assert!((l - r).abs() < 1e-6, "Ax={l} b={r}");
+        }
+    }
+
+    #[test]
+    fn lu_factor_then_solve_is_bit_identical_to_interleaved_elimination(
+        (a, bs) in pivoting_system(),
+    ) {
+        let factor = Lu::factor(&a);
+        for b in &bs {
+            let got = lu_solve(&a, b);
+            prop_assert_eq!(bits(&interleaved_lu_solve(&a, b)), bits(&got));
+            // One factor serves every right-hand side unchanged.
+            let reused = factor.clone().and_then(|lu| {
+                let mut x = b.clone();
+                lu.solve_in_place(&mut x).map(|()| x)
+            });
+            prop_assert_eq!(bits(&got), bits(&reused));
         }
     }
 

@@ -415,6 +415,22 @@ impl NodePowerModel {
         NodePowerModel { coeffs }
     }
 
+    /// Evaluates every node's power at the temperatures `temps` into
+    /// `out` — bit-identical to [`node_powers_into`](crate::node_powers_into)
+    /// at the frozen operating point, without re-deriving voltages,
+    /// utilisations and dynamic power on every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temps` or `out` differs in length from the node count.
+    pub fn eval_into(&self, temps: &[f64], out: &mut [f64]) {
+        assert_eq!(temps.len(), self.coeffs.len(), "temperature vector length");
+        assert_eq!(out.len(), self.coeffs.len(), "power vector length");
+        for ((o, c), &t) in out.iter_mut().zip(&self.coeffs).zip(temps) {
+            *o = c.eval(t);
+        }
+    }
+
     /// Evaluates every node's power at `lane`'s current temperatures,
     /// writing the node-major SoA power vector slots for that lane and
     /// returning the total draw (summed in node-index order, matching
@@ -865,6 +881,11 @@ mod tests {
                 }
                 let want_total: f64 = reference.iter().sum();
                 assert_eq!(total.to_bits(), want_total.to_bits(), "total draw");
+                let mut scalar = vec![f64::NAN; board.thermal.len()];
+                model.eval_into(&temps, &mut scalar);
+                for (node, (&got, &want)) in scalar.iter().zip(&reference).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "eval_into node {node}");
+                }
             }
         }
     }

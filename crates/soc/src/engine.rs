@@ -776,7 +776,9 @@ pub struct StepScratch {
     /// Node power vector, watts, indexed as [`Board::nodes`].
     pub power: Vec<f64>,
     /// Node temperature buffer, °C — for evaluating the power model at
-    /// an assumed uniform temperature before real temperatures exist.
+    /// an assumed uniform temperature before real temperatures exist,
+    /// and for the gap fast-forward's frozen temperatures and
+    /// steady-state target.
     pub temps: Vec<f64>,
     /// Step-loop observability accumulator (counters always on, timing
     /// opt-in; see [`StepObs`]).
@@ -1417,14 +1419,17 @@ pub fn fast_forward_gap(
                 collapsed_node_powers_into(board, &scratch.temps, &mut scratch.power);
             }
         }
-        // Distance to the steady state this frozen power decays toward.
+        // Distance to the steady state this frozen power decays toward
+        // (solved into `scratch.temps`, free now the power is frozen).
         let seg = if lambda_max > 0.0 {
-            let ss = board.thermal.steady_state(&scratch.power);
+            board
+                .thermal
+                .steady_state_into(&scratch.power, &mut scratch.temps);
             let dist = board
                 .thermal
                 .temps()
                 .iter()
-                .zip(&ss)
+                .zip(&scratch.temps)
                 .map(|(&t, &s)| (t - s).abs())
                 .fold(0.0_f64, f64::max);
             if dist <= GAP_SEGMENT_DELTA_C {

@@ -9,8 +9,17 @@
 //! is all the reproduction needs because TEEM, the trip-based throttler
 //! and the baselines all react to *sensor readings of node temperatures*,
 //! not to intra-die gradients.
+//!
+//! The conductance matrix is immutable after
+//! [`ThermalModelBuilder::build`]; only node temperatures and the ambient
+//! temperature change at run time. Everything derived from the topology
+//! is therefore computed once: the LU factor behind
+//! [`ThermalModel::steady_state`] at build time (ambient enters only the
+//! right-hand side), and the spectral decomposition behind
+//! [`ThermalModel::cool_to`] on first use.
 
-use teem_linreg::{eigen::sym_eigen, solve::lu_solve, Matrix};
+use std::sync::Arc;
+use teem_linreg::{eigen::sym_eigen, solve::Lu, Matrix};
 
 /// Index of a thermal node within a [`ThermalModel`].
 pub type NodeId = usize;
@@ -54,6 +63,9 @@ pub struct ThermalModel {
     ambient_c: f64,
     max_stable_dt: f64,
     plan: Option<CoolingPlan>, // lazy spectral cache for cool_to
+    // LU factor of (G + G_amb) for steady_state, shared by clones;
+    // `None` when some node has no path to ambient.
+    factor: Option<Arc<Lu>>,
 }
 
 /// Builder for [`ThermalModel`].
@@ -141,6 +153,22 @@ impl ThermalModelBuilder {
         } else {
             0.1
         };
+        // The steady-state system (G + G_amb) T = P + G_amb T_amb: the
+        // Laplacian plus the ambient diagonal, singular exactly when a
+        // node has no path to ambient.
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            let mut diag = self.to_ambient[i];
+            for j in 0..n {
+                if i != j {
+                    let gij = g[i * n + j];
+                    a[(i, j)] = -gij;
+                    diag += gij;
+                }
+            }
+            a[(i, i)] = diag;
+        }
+        let factor = Lu::factor(&a).ok().map(Arc::new);
         ThermalModel {
             names: self.names.clone(),
             capacitance: self.capacitance.clone(),
@@ -151,6 +179,7 @@ impl ThermalModelBuilder {
             ambient_c: self.ambient_c,
             max_stable_dt,
             plan: None,
+            factor,
         }
     }
 }
@@ -268,36 +297,46 @@ impl ThermalModel {
     }
 
     /// Solves the steady-state temperatures for constant injected power:
-    /// `(G + G_amb) T = P + G_amb T_amb` — used for calibration and tests.
+    /// `(G + G_amb) T = P + G_amb T_amb` — used for calibration, warm
+    /// starts and the analytic design-point evaluator.
     ///
     /// # Panics
     ///
     /// Panics if the conductance system is singular (a node with no path
     /// to ambient).
     pub fn steady_state(&self, power_w: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.len()];
+        self.steady_state_into(power_w, &mut out);
+        out
+    }
+
+    /// [`ThermalModel::steady_state`] written into `out`: two `O(n²)`
+    /// triangular solves against the factor computed at build time, no
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power_w` or `out` is not `len()` long, or if the
+    /// conductance system is singular (a node with no path to ambient).
+    pub fn steady_state_into(&self, power_w: &[f64], out: &mut [f64]) {
         assert_eq!(power_w.len(), self.len());
-        let n = self.len();
-        let mut a = Matrix::zeros(n, n);
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            let mut diag = self.to_ambient[i];
-            for j in 0..n {
-                if i != j {
-                    let g = self.conductance[i * n + j];
-                    a[(i, j)] = -g;
-                    diag += g;
-                }
-            }
-            a[(i, i)] = diag;
-            b[i] = power_w[i] + self.to_ambient[i] * self.ambient_c;
+        assert_eq!(out.len(), self.len());
+        let lu = self
+            .factor
+            .as_deref()
+            .expect("thermal network must be connected to ambient");
+        for ((b, &p), &g_amb) in out.iter_mut().zip(power_w).zip(&self.to_ambient) {
+            *b = p + g_amb * self.ambient_c;
         }
-        lu_solve(&a, &b).expect("thermal network must be connected to ambient")
+        lu.solve_in_place(out).expect("length checked above");
     }
 
     /// Sets every node to its steady state for the given power — a "warm
     /// start" as if the board idled long enough to equilibrate.
     pub fn warm_start(&mut self, power_w: &[f64]) {
-        self.temps = self.steady_state(power_w);
+        let mut temps = std::mem::take(&mut self.temps);
+        self.steady_state_into(power_w, &mut temps);
+        self.temps = temps;
     }
 
     /// Largest Euler step the network tolerates (informational).
@@ -535,6 +574,41 @@ mod tests {
         // Steady state under power shifts by the same offset.
         let ss = m.steady_state(&[4.0, 0.0]);
         assert!((ss[0] - 68.0).abs() < 1e-9, "die {}", ss[0]);
+    }
+
+    #[test]
+    fn steady_state_after_ambient_change_equals_fresh_build() {
+        // The build-time factor holds only the conductances; ambient is
+        // right-hand-side data, so moving it at run time must give
+        // exactly the model built at that ambient.
+        let build = |ambient: f64| {
+            let mut b = ThermalModelBuilder::new(ambient);
+            let a = b.node("a", 0.5, 0.05, 25.0);
+            let c = b.node("c", 2.0, 0.0, 25.0);
+            let d = b.node("d", 40.0, 0.4, 25.0);
+            b.connect(a, c, 0.3).connect(c, d, 0.7).connect(a, d, 0.1);
+            b.build()
+        };
+        let mut moved = build(25.0);
+        for ambient in [-12.5, 31.0, 47.25] {
+            moved.set_ambient_c(ambient);
+            let fresh = build(ambient);
+            for p in [[0.0, 0.0, 0.0], [3.5, 0.25, 1.0]] {
+                let got: Vec<u64> = moved.steady_state(&p).iter().map(|t| t.to_bits()).collect();
+                let want: Vec<u64> = fresh.steady_state(&p).iter().map(|t| t.to_bits()).collect();
+                assert_eq!(got, want, "ambient {ambient}, power {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thermal network must be connected to ambient")]
+    fn steady_state_rejects_ambient_isolated_network() {
+        let mut b = ThermalModelBuilder::new(25.0);
+        let n0 = b.node("a", 1.0, 0.0, 80.0);
+        let n1 = b.node("b", 1.0, 0.0, 20.0);
+        b.connect(n0, n1, 0.5);
+        b.build().steady_state(&[1.0, 0.0]);
     }
 
     #[test]

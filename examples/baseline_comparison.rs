@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for app in App::paper_eight() {
         let profile = offline::profile_app(&board, app)?;
         // Per-app requirement at the paper's 85 C threshold, mapping
-        // fixed at 2L+4B as in Fig. 5.
+        // fixed at 2L+3B as in the Fig. 5 experiments.
         let req = fig5_requirement(app, &profile);
         let mut bars = Vec::new();
         for approach in Approach::fig5() {
